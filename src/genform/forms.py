@@ -60,7 +60,7 @@ class Form:
         clean: dict[Key, ScalarField] = {}
         for key, poly in self.components.items():
             key = tuple(key)
-            if poly.chart != self.chart:
+            if poly.chart is not self.chart and poly.chart != self.chart:
                 raise ChartMismatchError("component coefficient lives on a different chart")
             if poly.is_zero:
                 continue
@@ -202,7 +202,7 @@ class VectorField:
                 f"vector field needs {self.chart.dim} components, got {len(comps)}"
             )
         for c in comps:
-            if c.chart != self.chart:
+            if c.chart is not self.chart and c.chart != self.chart:
                 raise ChartMismatchError("vector component lives on a different chart")
         object.__setattr__(self, "components", comps)
 

@@ -1,12 +1,17 @@
 """Exact scalar fields: sparse multivariate polynomials over the rationals.
 
 A scalar field over a chart is a polynomial in the chart coordinates with
-``Fraction`` coefficients, stored as a map from exponent vectors (one
-non-negative integer per coordinate) to nonzero coefficients.  The empty map
-is the zero polynomial.  All arithmetic is exact; results are canonical
-(zero coefficients dropped, duplicate monomials merged), so equality is a
-plain structural comparison and two mathematically equal polynomials always
-compare equal.
+rational coefficients.  It is stored as integer numerators over one common
+denominator, the layout of FLINT's ``fmpq_poly``: a map from exponent vectors
+(one non-negative integer per coordinate) to nonzero integer numerators, and
+a positive integer denominator.  The canonical form shares no factor between
+the denominator and all numerators together, and the zero polynomial is the
+empty map over denominator one.  All arithmetic is exact and runs on
+integers; results are canonical (zero coefficients dropped, duplicate
+monomials merged, common content divided out), so equality is a plain
+structural comparison and two mathematically equal polynomials always
+compare equal.  ``ScalarField.terms`` shows the coefficients as ``Fraction``
+values.
 
 Values are immutable after construction and every operation returns a new
 object, so scalar fields are safe to share between threads.
@@ -18,9 +23,11 @@ they agree on dimension, coordinate names and ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from operator import add
 
 from .errors import ChartMismatchError
 
@@ -48,8 +55,8 @@ class Chart:
         return len(self.names)
 
     def constant(self, value: RationalLike) -> "ScalarField":
-        c = Fraction(value)
-        return ScalarField(self, {} if c == 0 else {(0,) * self.dim: c})
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _from_ints(self, {(0,) * self.dim: c.numerator} if c else {}, c.denominator)
 
     def coordinate(self, index: int) -> "ScalarField":
         """The coordinate function x_index as a scalar field."""
@@ -57,31 +64,36 @@ class Chart:
             raise IndexError(f"coordinate index {index} out of range for dimension {self.dim}")
         exps = [0] * self.dim
         exps[index] = 1
-        return ScalarField(self, {tuple(exps): Fraction(1)})
+        return _from_ints(self, {tuple(exps): 1}, 1)
 
     def coordinates(self) -> tuple["ScalarField", ...]:
         return tuple(self.coordinate(i) for i in range(self.dim))
 
 
 def _require_same_chart(a: Chart, b: Chart) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ChartMismatchError(
             f"operands live on different charts: ({', '.join(a.names)}; k={a.k}) "
             f"vs ({', '.join(b.names)}; k={b.k})"
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ScalarField:
-    """A polynomial with rational coefficients over a chart's coordinates."""
+    """A polynomial with rational coefficients over a chart's coordinates.
 
-    chart: Chart
-    terms: Mapping[Exponents, Fraction]
+    ``ScalarField(chart, terms)`` takes a map from exponent vectors to
+    rationals (``int``, ``Fraction`` or anything ``Fraction`` accepts),
+    checks every exponent vector against the chart dimension and drops zero
+    coefficients.  Arithmetic results skip those checks: they are built from
+    integer numerators that are already clean.
+    """
 
-    def __post_init__(self):
-        n = self.chart.dim
+    __slots__ = ("chart", "_num", "_den")
+
+    def __init__(self, chart: Chart, terms: Mapping[Exponents, RationalLike]):
+        n = chart.dim
         clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != n:
                 raise ChartMismatchError(
@@ -90,7 +102,12 @@ class ScalarField:
             c = Fraction(coeff)
             if c:
                 clean[exps] = c
-        object.__setattr__(self, "terms", clean)
+        # Each coefficient is in lowest terms and ``den`` is the lcm of their
+        # denominators, so no prime divides both ``den`` and all numerators:
+        # the content is already one.
+        den = lcm(*(c.denominator for c in clean.values()))
+        _set_state(self, chart,
+                   {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
     @classmethod
     def from_terms(cls, chart: Chart, pairs: Iterable[tuple[Exponents, RationalLike]]) -> "ScalarField":
@@ -101,17 +118,32 @@ class ScalarField:
             acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coeff)
         return cls(chart, acc)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ScalarField, (self.chart, dict(self.terms))
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The coefficients as a read-only ``{exponents: Fraction}`` view."""
+        return _Terms(self._num, self._den)
+
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return ((self.chart is other.chart or self.chart == other.chart)
+                and self._den == other._den and self._num == other._num)
 
     __hash__ = None  # mutable-value semantics: equal fields need not share a hash
 
@@ -127,38 +159,34 @@ class ScalarField:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for exps, c in rhs.terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-        return ScalarField(self.chart, acc)
+        return _combine(self, rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField(self.chart, {e: -c for e, c in self.terms.items()})
+        return _from_ints(self.chart, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combine(self, rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _combine(rhs, self, -1)
 
     def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            # a rational factor scales the numerators and the denominator
+            num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
+            return _from_ints(self.chart, num, self._den * other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in rhs.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return ScalarField(self.chart, acc)
+        return _product(self, rhs)
 
     __rmul__ = __mul__
 
@@ -166,13 +194,12 @@ class ScalarField:
         """Exact partial derivative with respect to coordinate ``coord``."""
         if not 0 <= coord < self.chart.dim:
             raise IndexError(f"coordinate index {coord} out of range for dimension {self.chart.dim}")
-        acc: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        num: dict[Exponents, int] = {}
+        for exps, c in self._num.items():
             e = exps[coord]
             if e:
-                key = exps[:coord] + (e - 1,) + exps[coord + 1:]
-                acc[key] = c * e
-        return ScalarField(self.chart, acc)
+                num[exps[:coord] + (e - 1,) + exps[coord + 1:]] = c * e
+        return _from_ints(self.chart, num, self._den)
 
     def eval_at(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point (one value per coordinate)."""
@@ -181,20 +208,97 @@ class ScalarField:
             raise ValueError(
                 f"point has {len(values)} entries, chart dimension is {self.chart.dim}"
             )
-        total = Fraction(0)
-        for exps, c in self.terms.items():
+        total = 0
+        for exps, c in self._num.items():
             term = c
             for e, v in zip(exps, values):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return Fraction(total, self._den)
 
     def __str__(self) -> str:
         return poly_str(self)
 
     def __repr__(self) -> str:
         return poly_str(self)
+
+
+class _Terms(Mapping):
+    """Read-only ``{exponents: Fraction}`` view of one scalar field's coefficients."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Exponents, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps: Exponents) -> Fraction:
+        return Fraction(self._num[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+# ---------------------------------------------------------------------------
+# Integer kernel.  Every arithmetic result is built by ``_from_ints`` from a
+# numerator map without zero entries and a positive denominator.
+
+
+def _set_state(f: ScalarField, chart: Chart, num: dict[Exponents, int], den: int) -> None:
+    object.__setattr__(f, "chart", chart)
+    object.__setattr__(f, "_num", num)
+    object.__setattr__(f, "_den", den)
+
+
+def _from_ints(chart: Chart, num: dict[Exponents, int], den: int) -> ScalarField:
+    """The trusted constructor: divides out the content, checks nothing else."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:  # also turns the zero polynomial's denominator into one
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    f = object.__new__(ScalarField)
+    _set_state(f, chart, num, den)
+    return f
+
+
+def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
+    """a + sign * b over the lcm of the two denominators."""
+    da, db = a._den, b._den
+    if da == db:
+        acc = dict(a._num)
+        fb = sign
+    else:
+        g = gcd(da, db)
+        fa = db // g
+        fb = sign * (da // g)
+        acc = {e: c * fa for e, c in a._num.items()}
+        da *= fa
+    get = acc.get
+    for e, c in b._num.items():
+        s = get(e, 0) + c * fb
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return _from_ints(a.chart, acc, da)
+
+
+def _product(a: ScalarField, b: ScalarField) -> ScalarField:
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for ea, ca in a._num.items():
+        for eb, cb in b._num.items():
+            key = tuple(map(add, ea, eb))
+            acc[key] = get(key, 0) + ca * cb
+    return _from_ints(a.chart, {e: c for e, c in acc.items() if c}, a._den * b._den)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +311,16 @@ class ScalarField:
 
 
 def rational_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _ratio_str(q.numerator, q.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """The rational num/den in lowest terms; ``den`` is positive."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _grlex_key(exps: Exponents) -> tuple:
@@ -225,28 +338,29 @@ def _mono_str(chart: Chart, exps: Exponents) -> str:
 
 
 def poly_str(f: ScalarField) -> str:
-    if f.is_zero:
+    num, den = f._num, f._den
+    if not num:
         return "0"
     pieces = []
-    for i, exps in enumerate(sorted(f.terms, key=_grlex_key)):
-        coeff = f.terms[exps]
+    for i, exps in enumerate(sorted(num, key=_grlex_key)):
+        c = num[exps]  # the coefficient is c/den; it is one exactly when c == den
         mono = _mono_str(f.chart, exps)
         if i == 0:
             if not mono:
-                pieces.append(rational_str(coeff))
-            elif coeff == 1:
+                pieces.append(_ratio_str(c, den))
+            elif c == den:
                 pieces.append(mono)
             else:
-                pieces.append(f"{rational_str(coeff)}*{mono}")
+                pieces.append(f"{_ratio_str(c, den)}*{mono}")
         else:
-            mag = abs(coeff)
+            mag = abs(c)
             if not mono:
-                body = rational_str(mag)
-            elif mag == 1:
+                body = _ratio_str(mag, den)
+            elif mag == den:
                 body = mono
             else:
-                body = f"{rational_str(mag)}*{mono}"
-            pieces.append((" - " if coeff < 0 else " + ") + body)
+                body = f"{_ratio_str(mag, den)}*{mono}"
+            pieces.append((" - " if c < 0 else " + ") + body)
     return "".join(pieces)
 
 
@@ -256,9 +370,9 @@ def coefficient_block(f: ScalarField) -> str | None:
     Single-term polynomials splice in directly (``3``, ``x^2``, ``-1*x``),
     anything longer is parenthesized, and the constant one is omitted.
     """
-    if len(f.terms) == 1:
-        ((exps, coeff),) = f.terms.items()
-        if coeff == 1 and not any(exps):
+    if len(f._num) == 1:
+        ((exps, c),) = f._num.items()
+        if c == f._den and not any(exps):
             return None
         return poly_str(f)
     return f"({poly_str(f)})"

@@ -38,7 +38,13 @@ increasing d-indices, explicit ``-1*`` leading coefficients) chosen so that
 parsing, printing and re-parsing is the identity on parsed sessions.
 
 Diagnostics carry a position and one of the stable codes E_LEX, E_PARSE,
-E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.
+E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing either of two limits
+is an E_PARSE error: expressions nest at most ``MAX_NESTING`` levels deep
+(parentheses, pair brackets and operation calls each open a level), which
+keeps the recursive-descent parser within Python's recursion limit, and
+``^`` takes exponents up to ``MAX_EXPONENT``.  The exponent bound caps the
+exponent, not the size of the power: a many-term base in several
+coordinates can still expand to a very large polynomial.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import Chart, ScalarField, rational_str
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
+
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
 
 OP_NAMES = ("wedge", "d", "I", "L", "Lc", "Lv", "comm", "scale", "add", "smul")
 
@@ -200,6 +209,7 @@ class _Parser:
         self.pos = 0
         self.chart: Chart | None = None  # set by _parse_chart
         self.definitions: dict[str, Value] = {}
+        self.depth = 0  # expressions currently open
 
     # -- token plumbing ----------------------------------------------------
 
@@ -288,6 +298,10 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def _expr(self) -> Value:
+        if self.depth == MAX_NESTING:
+            self._err(self._peek(), "E_PARSE",
+                      f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
         value = self._term()
         while self._peek().kind in ("+", "-"):
             op = self._next()
@@ -295,6 +309,7 @@ class _Parser:
             if op.kind == "-":
                 rhs = -rhs
             value = self._add(value, rhs, op)
+        self.depth -= 1
         return _collapse(value)
 
     def _term(self) -> Value:
@@ -305,9 +320,10 @@ class _Parser:
         return value
 
     def _factor(self) -> Value:
-        if self._peek().kind == "-":
+        negate = False
+        while self._peek().kind == "-":  # a loop, not recursion: "- - - x" is flat
             self._next()
-            return -self._factor()
+            negate = not negate
         value = self._atom()
         while self._peek().kind == "^":
             caret = self._peek()
@@ -317,14 +333,22 @@ class _Parser:
                           "chain directly (dx^dy) and general forms use wedge(...)")
             self._next()
             exp_tok = self._expect("int", "an integer exponent")
-            value = self._power(value, int(exp_tok.text))
-        return value
+            digits = exp_tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                self._err(exp_tok, "E_PARSE", f"exponent {exp_tok.text} exceeds {MAX_EXPONENT}")
+            value = self._power(value, int(digits))
+        return -value if negate else value
 
     def _power(self, base: ScalarField, exponent: int) -> ScalarField:
-        out = self.chart.constant(1)
-        for _ in range(exponent):
-            out = out * base
-        return out
+        """base ** exponent by repeated squaring: one product per bit and per set bit."""
+        out = None
+        while True:
+            if exponent & 1:
+                out = base if out is None else out * base
+            exponent >>= 1
+            if not exponent:
+                return self.chart.constant(1) if out is None else out
+            base = base * base
 
     def _atom(self) -> Value:
         tok = self._next()

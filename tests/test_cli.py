@@ -3,6 +3,7 @@
 import pytest
 
 from genform.cli import main
+from genform.session import MAX_NESTING
 
 
 @pytest.fixture
@@ -129,3 +130,12 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_show_deeply_nested_session_is_a_diagnostic(session_file, capsys):
+    depth = MAX_NESTING + 1
+    path = session_file("chart x\na = " + "(" * depth + "x" + ")" * depth + "\n")
+    status, out, err = run(capsys, ["show", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"2:{5 + MAX_NESTING}: E_PARSE: ")

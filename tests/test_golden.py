@@ -1,0 +1,81 @@
+"""Golden outputs: every printing path, byte for byte.
+
+The digests and counterexample texts below were recorded with the original
+``Fraction``-per-term scalar kernel, so they pin the printed form of scalars,
+forms, vectors and pairs across changes to the coefficient storage.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from genform import (
+    GenConfig,
+    GeneralizedForm,
+    GeneralizedVector,
+    default_chart,
+    gen_gform,
+    gen_gvector,
+    gen_scalar,
+    render_session,
+)
+from genform.cli import main
+
+from test_harness import _corrupted_contract, _corrupted_d
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# sha256 of the rendered sessions of seeds 0-9, concatenated, per dimension
+SESSION_DIGESTS = {
+    1: "ddcefe24b1f5bd7b03fabca3a2bb607a70eabd5703b28601a5af1e2e64e8be68",
+    2: "441e15ca548f9e3a369f9fddd72ea3cd065c16a9c2290614ae61d8fe9b9a545c",
+    3: "bab2d2d20d06a6bdce03ca846add1b1e335853a26c0423828e5ec9225210be4f",
+    4: "cf6a8425abe1a9f1ac5534b50e038975c89fb9de97bb511fb97b83ef07f55435",
+}
+
+SESSION_SEED0_DIM2 = """chart x, y k=-5/3
+f0 = 3/2 + x^2 - 3*y^4
+f1 = -49/12 + x^3*y
+f2 = 3/5*y^2
+a0 = [0 ; 0]
+a1 = [3/2*y + 5/4*x*y + x^2*y + y^4 ; (-5/2 - 1/4*x + 4/3*x^2)*dx + (-1 - y)*dy]
+a2 = [(4/3*y + 1/4*x*y - 3/2*y^3)*dx + (4/5 - 1/5*x - 1/4*x*y^2 - 1/5*x^2*y^2)*dy ; (-2/3 - 1/2*x)*dx^dy]
+a3 = [x^2*dx^dy ; 0]
+V0 = {(-2/5*x + y^2 + 4*x^4)*@x + (-2/3*y + 4/3*x^2 + 9/4*y^2 + 2/5*x^4)*@y ; -1 - 1/4*y + 5/4*x*y + x^2*y + x^2*y^2}
+V1 = {(2/3 + 1/2*y - 1/2*x*y^2 + 1/4*y^4)*@x + (-3/2*y - 3*x^4)*@y ; 1/3 - 2*x + 1/5*y + 5/4*x^2 - 1/5*x*y^2}
+"""
+
+
+def _generated_session(seed, dim):
+    cfg = GenConfig(seed=seed, dimension=dim, max_poly_degree=4, max_terms=6)
+    chart = default_chart(cfg)
+    defs = {f"f{i}": gen_scalar(cfg, i, chart) for i in range(3)}
+    for p in range(-1, dim + 1):
+        defs[f"a{p + 1}"] = gen_gform(cfg, p, 10 + p, chart)
+    for i in range(2):
+        defs[f"V{i}"] = gen_gvector(cfg, 20 + i, chart)
+    return render_session(chart, defs)
+
+
+def test_generated_session_text():
+    assert _generated_session(0, 2) == SESSION_SEED0_DIM2
+
+
+@pytest.mark.parametrize("dim", sorted(SESSION_DIGESTS))
+def test_generated_session_digests(dim):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        digest.update(_generated_session(seed, dim).encode("utf-8"))
+    assert digest.hexdigest() == SESSION_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("owner,attr,mutant,identity,golden", [
+    (GeneralizedForm, "d", _corrupted_d, "P4", "check_p4_corrupted_d.txt"),
+    (GeneralizedVector, "contract", _corrupted_contract, "P10", "check_p10_corrupted_contract.txt"),
+])
+def test_counterexample_text(monkeypatch, capsys, owner, attr, mutant, identity, golden):
+    monkeypatch.setattr(owner, attr, mutant)
+    status = main(["check", identity, "--dim", "2", "--trials", "8", "--seed", "3"])
+    assert status == 1
+    assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")

@@ -23,6 +23,7 @@ from genform import (
     render_session,
     substitute,
 )
+from genform.session import MAX_EXPONENT, MAX_NESTING
 
 
 def test_chart_and_pair_literal():
@@ -223,3 +224,69 @@ def test_round_trip_generated_sessions():
             "V": gen_gvector(cfg, 4, chart),
         }
         _round_trip(render_session(chart, defs))
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_nesting_limit_is_a_parse_error():
+    # the definition's own expression is one level, each "(" opens another
+    session = parse_session("chart x\na = " + _nested(MAX_NESTING - 1))
+    assert session.definitions["a"] == session.chart.coordinate(0)
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x\na = " + _nested(MAX_NESTING))
+    assert info.value.code == "E_PARSE"
+    # reported at the first token of the expression one level too deep
+    assert (info.value.line, info.value.col) == (2, 5 + MAX_NESTING)
+
+
+@pytest.mark.parametrize("opener,closer", [("d(", ")"), ("[", " ; 0]"), ("add(0, ", ")")])
+def test_nesting_limit_counts_brackets_and_calls(opener, closer):
+    text = "chart x, y\na = " + opener * MAX_NESTING + "x" + closer * MAX_NESTING
+    with pytest.raises(ParseError) as info:
+        parse_session(text)
+    assert info.value.code == "E_PARSE"
+
+
+def test_long_unary_minus_chain_is_not_nesting():
+    session = parse_session("chart x\na = " + "- " * 3001 + "x^2\nb = " + "-" * 3000 + "x")
+    x = session.chart.coordinate(0)
+    assert session.definitions["a"] == -(x * x)
+    assert session.definitions["b"] == x
+
+
+def test_power_by_squaring_matches_repeated_products(monkeypatch):
+    session = parse_session("chart x, y\nf = 1 + x - 2/3*y\n"
+                            + "".join(f"p{e} = f^{e}\n" for e in range(10)))
+    f = session.definitions["f"]
+    expected = session.chart.constant(1)
+    for e in range(10):
+        assert session.definitions[f"p{e}"] == expected
+        expected = expected * f
+    products = []
+    original = ScalarField.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ScalarField, "__mul__", counting_mul)
+    parse_session("chart x\np = (1 + x)^8")
+    assert len(products) == 3  # three squarings, no product by one
+
+
+def test_exponent_bound_is_checked_before_evaluating(monkeypatch):
+    x_power = parse_session(f"chart x\np = x^{MAX_EXPONENT}\nq = x^000{MAX_EXPONENT}")
+    assert x_power.definitions["p"].terms == {(MAX_EXPONENT,): 1}
+    assert x_power.definitions["q"] == x_power.definitions["p"]
+
+    def no_products(self, other):
+        raise AssertionError("an exponent over the bound must not be evaluated")
+
+    monkeypatch.setattr(ScalarField, "__mul__", no_products)
+    for exponent in (str(MAX_EXPONENT + 1), "9" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse_session(f"chart x\np = (1 + x)^{exponent}")
+        assert info.value.code == "E_PARSE"
+        assert (info.value.line, info.value.col) == (2, 13)
