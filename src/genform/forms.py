@@ -11,6 +11,14 @@ error.  Zero forms of different degree tags compare equal.
 
 Vector fields hold one scalar component per coordinate.  The Lie derivative
 of a form is computed with the homotopy formula i_v d + d i_v.
+
+Every coefficient of a wedge product, a contraction, a directional
+derivative or a bracket is a sum of products of coefficients; each is built
+by one call of the scalar kernel's fused sum of products, grouped by output
+index tuple.  The public constructors ``Form(...)`` and ``Form.from_terms``
+check keys, degrees and charts; results of the operations here go through
+the private trusted constructor ``_trusted_form``, which only drops zero
+coefficients.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .scalars import (
     Chart,
     ScalarField,
     _require_same_chart,
+    _sum_products,
     coefficient_block,
     join_signed,
 )
@@ -78,17 +87,7 @@ class Form:
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarField]]) -> "Form":
         """Build a form from arbitrary-order index tuples, normalizing parity."""
-        acc: dict[Key, ScalarField] = {}
-        for key, poly in pairs:
-            if poly.is_zero:
-                continue
-            sorted_key, sign = _normalize_key(tuple(key))
-            if sorted_key is None:
-                continue
-            signed = poly if sign > 0 else -poly
-            cur = acc.get(sorted_key)
-            acc[sorted_key] = signed if cur is None else cur + signed
-        return cls(chart, degree, acc)
+        return cls(chart, degree, _merge_terms(pairs))
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "Form":
@@ -136,10 +135,10 @@ class Form:
         for key, poly in other.components.items():
             cur = acc.get(key)
             acc[key] = poly if cur is None else cur + poly
-        return Form(self.chart, self.degree, acc)
+        return _trusted_form(self.chart, self.degree, acc)
 
     def __neg__(self):
-        return Form(self.chart, self.degree, {k: -p for k, p in self.components.items()})
+        return _trusted_form(self.chart, self.degree, {k: -p for k, p in self.components.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -151,17 +150,19 @@ class Form:
             return NotImplemented
         if isinstance(factor, ScalarField):
             _require_same_chart(self.chart, factor.chart)
-        return Form(self.chart, self.degree,
-                    {k: factor * p for k, p in self.components.items()})
+        return _trusted_form(self.chart, self.degree,
+                             {k: factor * p for k, p in self.components.items()})
 
     def wedge(self, other: "Form") -> "Form":
         """Antisymmetrized product; degree adds, repeated indices cancel."""
         _require_same_chart(self.chart, other.chart)
-        terms = []
+        groups: dict[Key, list] = {}
         for ka, pa in self.components.items():
             for kb, pb in other.components.items():
-                terms.append((ka + kb, pa * pb))
-        return Form.from_terms(self.chart, self.degree + other.degree, terms)
+                key, sign = _normalize_key(ka + kb)
+                if key is not None:
+                    groups.setdefault(key, []).append((sign, pa, pb))
+        return _fused_form(self.chart, self.degree + other.degree, groups)
 
     def d(self) -> "Form":
         """Exterior derivative: d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I."""
@@ -171,7 +172,7 @@ class Form:
                 df = poly.diff(i)
                 if df:
                     terms.append(((i,) + key, df))
-        return Form.from_terms(self.chart, self.degree + 1, terms)
+        return _trusted_form(self.chart, self.degree + 1, _merge_terms(terms))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -250,23 +251,20 @@ class VectorField:
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
         _require_same_chart(self.chart, f.chart)
-        out = self.chart.constant(0)
-        for i, comp in enumerate(self.components):
-            if comp:
-                out = out + comp * f.diff(i)
-        return out
+        return _sum_products(self.chart, [(1, comp, f.diff(i))
+                                          for i, comp in enumerate(self.components) if comp])
 
     def contract(self, a: Form) -> Form:
         """Interior product: slot-wise pairing with alternating signs."""
         _require_same_chart(self.chart, a.chart)
-        terms = []
+        groups: dict[Key, list] = {}
         for key, poly in a.components.items():
             for j, idx in enumerate(key):
                 comp = self.components[idx]
                 if comp:
-                    signed = comp * poly if j % 2 == 0 else -(comp * poly)
-                    terms.append((key[:j] + key[j + 1:], signed))
-        return Form.from_terms(self.chart, a.degree - 1, terms)
+                    groups.setdefault(key[:j] + key[j + 1:], []).append(
+                        (-1 if j & 1 else 1, comp, poly))
+        return _fused_form(self.chart, a.degree - 1, groups)
 
     def lie(self, a: Form) -> Form:
         """Lie derivative of a form along this field (homotopy formula)."""
@@ -276,12 +274,14 @@ class VectorField:
         """Commutator of vector fields, component i: sum_j (v^j d_j w^i - w^j d_j v^i)."""
         _require_same_chart(self.chart, other.chart)
         comps = []
-        for i in range(self.chart.dim):
-            acc = self.chart.constant(0)
-            for j in range(self.chart.dim):
-                acc = acc + self.components[j] * other.components[i].diff(j)
-                acc = acc - other.components[j] * self.components[i].diff(j)
-            comps.append(acc)
+        for vi, wi in zip(self.components, other.components):
+            triples = []
+            for j, (vj, wj) in enumerate(zip(self.components, other.components)):
+                if vj:
+                    triples.append((1, vj, wi.diff(j)))
+                if wj:
+                    triples.append((-1, wj, vi.diff(j)))
+            comps.append(_sum_products(self.chart, triples))
         return VectorField(self.chart, tuple(comps))
 
     def __str__(self) -> str:
@@ -297,6 +297,40 @@ class VectorField:
         return join_signed(parts)
 
     __repr__ = __str__
+
+
+def _trusted_form(chart: Chart, degree: int, components: Mapping[Key, ScalarField]) -> Form:
+    """The trusted constructor of internal results: drops zeros, checks nothing else.
+
+    ``components`` must have strictly increasing keys of length ``degree``
+    with indices in range and coefficients on ``chart``.
+    """
+    f = object.__new__(Form)
+    object.__setattr__(f, "chart", chart)
+    object.__setattr__(f, "degree", degree)
+    object.__setattr__(f, "components", {k: p for k, p in components.items() if p})
+    return f
+
+
+def _fused_form(chart: Chart, degree: int, groups: Mapping[Key, list]) -> Form:
+    """The form whose coefficient at each key is the kernel's sum of that key's products."""
+    return _trusted_form(chart, degree,
+                         {key: _sum_products(chart, triples) for key, triples in groups.items()})
+
+
+def _merge_terms(pairs: Iterable[tuple[Key, ScalarField]]) -> dict[Key, ScalarField]:
+    """Sort each index tuple, absorb its parity and add coefficients of equal keys."""
+    acc: dict[Key, ScalarField] = {}
+    for key, poly in pairs:
+        if poly.is_zero:
+            continue
+        sorted_key, sign = _normalize_key(tuple(key))
+        if sorted_key is None:
+            continue
+        signed = poly if sign > 0 else -poly
+        cur = acc.get(sorted_key)
+        acc[sorted_key] = signed if cur is None else cur + signed
+    return acc
 
 
 def one_forms(chart: Chart) -> tuple[Form, ...]:

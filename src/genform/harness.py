@@ -41,6 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .errors import DegreeError, UnknownIdentityError
@@ -51,7 +52,7 @@ from .generalized import (
     _sign,
     cartan_residual,
 )
-from .scalars import Chart, ScalarField, rational_str
+from .scalars import Chart, ScalarField, _from_ints, rational_str
 from .session import parse_session, render_session
 
 _COORD_NAMES = ("x", "y", "z", "w")
@@ -125,12 +126,17 @@ def _position(pos) -> tuple:
 # can draw several objects.
 
 
-def _gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
+def _gen_ratio(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[int, int]:
+    """A random rational as (numerator, positive denominator), not reduced."""
     if nonzero:
         num = rng.randint(1, bound) * rng.choice((-1, 1))
     else:
         num = rng.randint(-bound, bound)
-    return Fraction(num, rng.randint(1, bound))
+    return num, rng.randint(1, bound)
+
+
+def _gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
+    return Fraction(*_gen_ratio(rng, bound, nonzero))
 
 
 def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
@@ -146,7 +152,7 @@ def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
 
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
     n = chart.dim
-    pairs = []
+    terms = []
     for _ in range(rng.randint(1, cfg.max_terms)):
         exps = [0] * n
         remaining = rng.randint(0, cfg.max_poly_degree)
@@ -156,8 +162,13 @@ def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
             remaining -= e
         exps[n - 1] = remaining
         rng.shuffle(exps)
-        pairs.append((tuple(exps), _gen_rational(rng, cfg.coefficient_bound, nonzero=True)))
-    return ScalarField.from_terms(chart, pairs)
+        terms.append((tuple(exps), *_gen_ratio(rng, cfg.coefficient_bound, nonzero=True)))
+    # integer numerators over the lcm of the drawn denominators
+    den = lcm(*(d for _, _, d in terms))
+    num: dict[tuple[int, ...], int] = {}
+    for exps, c, d in terms:
+        num[exps] = num.get(exps, 0) + c * (den // d)
+    return _from_ints(chart, {e: c for e, c in num.items() if c}, den)
 
 
 def _form(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> Form:

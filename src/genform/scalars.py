@@ -13,6 +13,12 @@ structural comparison and two mathematically equal polynomials always
 compare equal.  ``ScalarField.terms`` shows the coefficients as ``Fraction``
 values.
 
+Sums of products, the bulk of the exterior calculus above this module, go
+through one fused kernel, ``_sum_products``: it multiplies and accumulates
+every product into a single numerator map over the lcm of the operands'
+denominators (FLINT's "addmul into one accumulator") and canonicalises once,
+so no intermediate polynomial is built.  ``*`` shares its inner loop.
+
 Values are immutable after construction and every operation returns a new
 object, so scalar fields are safe to share between threads.
 
@@ -179,14 +185,14 @@ class ScalarField:
         return _combine(rhs, self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
+        if isinstance(other, ScalarField):
+            _require_same_chart(self.chart, other.chart)
+            return _product(self, other)
+        if isinstance(other, (int, Fraction)):
             # a rational factor scales the numerators and the denominator
             num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
             return _from_ints(self.chart, num, self._den * other.denominator)
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return _product(self, rhs)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -291,14 +297,38 @@ def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
     return _from_ints(a.chart, acc, da)
 
 
-def _product(a: ScalarField, b: ScalarField) -> ScalarField:
-    acc: dict[Exponents, int] = {}
+def _mac(acc: dict[Exponents, int], a_num: dict[Exponents, int],
+         b_num: dict[Exponents, int], factor: int) -> None:
+    """Multiply-accumulate: acc += factor * a_num * b_num, zeros left in place."""
     get = acc.get
-    for ea, ca in a._num.items():
-        for eb, cb in b._num.items():
+    for ea, ca in a_num.items():
+        ca *= factor
+        for eb, cb in b_num.items():
             key = tuple(map(add, ea, eb))
             acc[key] = get(key, 0) + ca * cb
+
+
+def _product(a: ScalarField, b: ScalarField) -> ScalarField:
+    acc: dict[Exponents, int] = {}
+    _mac(acc, a._num, b._num, 1)
     return _from_ints(a.chart, {e: c for e, c in acc.items() if c}, a._den * b._den)
+
+
+def _sum_products(chart: Chart,
+                  triples: Sequence[tuple[int, ScalarField, ScalarField]]) -> ScalarField:
+    """The fused kernel: sum of sign * a * b over the triples, canonicalised once.
+
+    Every product is accumulated into one numerator map over the lcm of the
+    operands' denominator products, so the sum builds no intermediate
+    ``ScalarField`` and divides out its content with a single gcd.  The
+    operands must live on ``chart``; nothing checks it.
+    """
+    dens = [a._den * b._den for _, a, b in triples]
+    den = lcm(*dens)
+    acc: dict[Exponents, int] = {}
+    for (sign, a, b), d in zip(triples, dens):
+        _mac(acc, a._num, b._num, sign * (den // d))
+    return _from_ints(chart, {e: c for e, c in acc.items() if c}, den)
 
 
 # ---------------------------------------------------------------------------

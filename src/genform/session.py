@@ -38,13 +38,16 @@ increasing d-indices, explicit ``-1*`` leading coefficients) chosen so that
 parsing, printing and re-parsing is the identity on parsed sessions.
 
 Diagnostics carry a position and one of the stable codes E_LEX, E_PARSE,
-E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing either of two limits
+E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of three limits
 is an E_PARSE error: expressions nest at most ``MAX_NESTING`` levels deep
 (parentheses, pair brackets and operation calls each open a level), which
-keeps the recursive-descent parser within Python's recursion limit, and
-``^`` takes exponents up to ``MAX_EXPONENT``.  The exponent bound caps the
-exponent, not the size of the power: a many-term base in several
-coordinates can still expand to a very large polynomial.
+keeps the recursive-descent parser within Python's recursion limit; ``^``
+takes exponents up to ``MAX_EXPONENT``; and an integer literal (numerator,
+denominator or the chart's ``k``) has at most ``MAX_LITERAL_DIGITS`` digits
+after its leading zeros, Python's default limit on converting a decimal
+string to an ``int``.  The exponent bound caps the exponent, not the size of
+the power: a many-term base in several coordinates can still expand to a
+very large polynomial.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_LITERAL_DIGITS = 4300
 
 OP_NAMES = ("wedge", "d", "I", "L", "Lc", "Lv", "comm", "scale", "add", "smul")
 
@@ -285,15 +289,22 @@ class _Parser:
         return -value if negative else value
 
     def _rational(self, int_tok: _Token) -> Fraction:
-        num = int(int_tok.text)
+        num = self._literal(int_tok)
         if self._peek().kind == "/":
             self._next()
             den_tok = self._expect("int", "a denominator")
-            den = int(den_tok.text)
+            den = self._literal(den_tok)
             if den == 0:
                 self._err(den_tok, "E_PARSE", "zero denominator")
             return Fraction(num, den)
         return Fraction(num)
+
+    def _literal(self, tok: _Token) -> int:
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > MAX_LITERAL_DIGITS:
+            self._err(tok, "E_PARSE",
+                      f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
+        return int(digits)
 
     # -- expressions ---------------------------------------------------------
 
@@ -333,10 +344,10 @@ class _Parser:
                           "chain directly (dx^dy) and general forms use wedge(...)")
             self._next()
             exp_tok = self._expect("int", "an integer exponent")
-            digits = exp_tok.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            exponent = self._literal(exp_tok)
+            if exponent > MAX_EXPONENT:
                 self._err(exp_tok, "E_PARSE", f"exponent {exp_tok.text} exceeds {MAX_EXPONENT}")
-            value = self._power(value, int(digits))
+            value = self._power(value, exponent)
         return -value if negate else value
 
     def _power(self, base: ScalarField, exponent: int) -> ScalarField:

@@ -3,7 +3,7 @@
 import pytest
 
 from genform.cli import main
-from genform.session import MAX_NESTING
+from genform.session import MAX_LITERAL_DIGITS, MAX_NESTING
 
 
 @pytest.fixture
@@ -139,3 +139,11 @@ def test_show_deeply_nested_session_is_a_diagnostic(session_file, capsys):
     assert status == 2
     assert out == ""
     assert err.startswith(f"2:{5 + MAX_NESTING}: E_PARSE: ")
+
+
+def test_show_overlong_literal_is_a_diagnostic(session_file, capsys):
+    path = session_file("chart x\na = 2*x + " + "9" * (MAX_LITERAL_DIGITS + 1) + "\n")
+    status, out, err = run(capsys, ["show", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("2:11: E_PARSE: ")

@@ -6,6 +6,7 @@ import pytest
 
 from genform import (
     Chart,
+    ChartMismatchError,
     DegreeError,
     Form,
     GenConfig,
@@ -161,6 +162,30 @@ def test_out_of_range_degrees_must_be_zero():
     ch = chart2()
     with pytest.raises(DegreeError):
         Form(ch, 3, {(0, 1): ch.constant(1)})
+
+
+@pytest.mark.parametrize("degree,key,error", [
+    (2, (1, 0), ValueError),  # decreasing
+    (2, (1, 1), ValueError),  # repeated
+    (1, (2,), ValueError),  # index past the last coordinate
+    (1, (-1,), ValueError),  # negative index
+    (2, (0,), DegreeError),  # key shorter than the degree
+    (1, (0, 1), DegreeError),  # key longer than the degree
+])
+def test_public_constructor_rejects_bad_keys(degree, key, error):
+    ch = chart2()
+    with pytest.raises(error):
+        Form(ch, degree, {key: ch.constant(1)})
+
+
+def test_public_constructors_reject_coefficients_on_another_chart():
+    ch, other = chart2(), Chart(("x", "y"), 1)
+    with pytest.raises(ChartMismatchError):
+        Form(ch, 1, {(0,): other.constant(1)})
+    with pytest.raises(ChartMismatchError):
+        Form.from_terms(ch, 1, [((0,), other.constant(1))])
+    with pytest.raises(ChartMismatchError):
+        Form.from_terms(ch, 2, [((1, 0), other.coordinate(0))])
 
 
 def _random_forms(seed, chart, degrees):

@@ -2,7 +2,9 @@
 
 The digests and counterexample texts below were recorded with the original
 ``Fraction``-per-term scalar kernel, so they pin the printed form of scalars,
-forms, vectors and pairs across changes to the coefficient storage.
+forms, vectors and pairs across changes to the coefficient storage.  The
+trial-input digests were recorded before trial generation built integer
+numerators directly, so they pin every trial a ``check`` run draws.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from genform import (
     render_session,
 )
 from genform.cli import main
+from genform.harness import IDENTITIES, _trial_chart, _trial_env
 
 from test_harness import _corrupted_contract, _corrupted_d
 
@@ -46,6 +49,17 @@ V0 = {(-2/5*x + y^2 + 4*x^4)*@x + (-2/3*y + 4/3*x^2 + 9/4*y^2 + 2/5*x^4)*@y ; -1
 V1 = {(2/3 + 1/2*y - 1/2*x*y^2 + 1/4*y^4)*@x + (-3/2*y - 3*x^4)*@y ; 1/3 - 2*x + 1/5*y + 5/4*x^2 - 1/5*x*y^2}
 """
 
+# sha256 of the rendered inputs of trials 0-15 of every identity P1-P17 at
+# seed 11, concatenated, per dimension.  A passing check prints nothing that
+# depends on its inputs, so these pin the trials themselves: every slot kind,
+# the forced-zero schedule and the per-trial k.
+TRIAL_INPUT_DIGESTS = {
+    1: "a29444ddb4ac145b35d8b648bdef547f5a21b0c1c54e5da6b5856f02cf2827d0",
+    2: "32253cc0af94884be45179dc553c7313effbba597d5cf34d2032f4f6a2f1f81d",
+    3: "963c07b4314310cc13df025052cc58c0238fd80797738bd49cf0c22c63818507",
+    4: "af51efbbb8d2c83a0980f610b75a7d756370a02e0b707398e6b90283b025de95",
+}
+
 
 def _generated_session(seed, dim):
     cfg = GenConfig(seed=seed, dimension=dim, max_poly_degree=4, max_terms=6)
@@ -68,6 +82,18 @@ def test_generated_session_digests(dim):
     for seed in range(10):
         digest.update(_generated_session(seed, dim).encode("utf-8"))
     assert digest.hexdigest() == SESSION_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(TRIAL_INPUT_DIGESTS))
+def test_trial_input_digests(dim):
+    cfg = GenConfig(seed=11, dimension=dim)
+    digest = hashlib.sha256()
+    for ident in IDENTITIES.values():
+        for trial in range(16):
+            chart = _trial_chart(cfg, trial)
+            env = _trial_env(ident, cfg, chart, trial)
+            digest.update(render_session(chart, env).encode("utf-8"))
+    assert digest.hexdigest() == TRIAL_INPUT_DIGESTS[dim]
 
 
 @pytest.mark.parametrize("owner,attr,mutant,identity,golden", [

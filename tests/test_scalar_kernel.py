@@ -5,9 +5,14 @@ zero coefficients, repeated exponent vectors and fractions written with
 negative denominators.  Every operation must agree exactly with
 ``reference_scalars`` and leave the canonical layout: a positive
 denominator, no zero numerator, content one, and denominator one for zero.
+
+The fused sum-of-products kernel is checked the same way, and the form and
+vector operations built on it are checked against naive term-by-term
+versions kept here, which only use the public constructors and ``+ - *``.
 """
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -17,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scalars as ref
-from genform import Chart, ChartMismatchError, ScalarField
+from genform import Chart, ChartMismatchError, Form, ScalarField, VectorField
+from genform.scalars import _sum_products
 
 NAMES = ("x", "y", "z", "w")
 
@@ -166,3 +172,135 @@ def test_values_stay_immutable_and_copyable():
     assert copy.copy(f) == f
     assert copy.deepcopy(f) == f
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# The fused sum-of-products kernel and the operations built on it.
+
+
+@st.composite
+def product_sums(draw):
+    """A chart and (sign, a-terms, b-terms) triples; some triples cancel others."""
+    dim = draw(st.integers(1, 4))
+    chart = Chart(NAMES[:dim], draw(coefficients))
+    triples = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2]), term_lists(dim),
+                                      term_lists(dim)), max_size=5))
+    for sign, pa, pb in list(triples):
+        if draw(st.booleans()):
+            # the same product with the opposite sign, possibly written the other way round
+            triples.append((-sign, pb, pa) if draw(st.booleans()) else (-sign, pa, pb))
+    return chart, triples
+
+
+@kernel_settings
+@given(product_sums())
+def test_sum_products_matches_naive_sum_and_reference(case):
+    chart, raw = case
+    triples = [(sign, ScalarField.from_terms(chart, pa), ScalarField.from_terms(chart, pb))
+               for sign, pa, pb in raw]
+    expected = {}
+    for sign, pa, pb in raw:
+        product = ref.mul(ref.normalize(chart.dim, pa), ref.normalize(chart.dim, pb))
+        expected = ref.add(expected, ref.mul({(0,) * chart.dim: Fraction(sign)}, product))
+    got = _sum_products(chart, triples)
+    assert_matches(got, expected, chart)
+    assert got == sum((s * a * b for s, a, b in triples), chart.constant(0))
+
+
+def test_sum_products_edge_cases():
+    chart = Chart(("x", "y"))
+    x, y = chart.coordinates()
+    half_x, third_y = Fraction(1, 2) * x, Fraction(1, 3) * y
+    assert_matches(_sum_products(chart, []), {}, chart)
+    # the only products cancel: the zero polynomial over denominator one
+    assert_matches(_sum_products(chart, [(1, half_x, third_y), (-1, third_y, half_x)]), {}, chart)
+    # mixed denominators: 1/6 xy + 3/4 x^2 - 1/9 y^2
+    got = _sum_products(chart, [(1, half_x, third_y), (3, half_x, half_x),
+                                (-1, third_y, third_y)])
+    assert_matches(got, {(1, 1): Fraction(1, 6), (2, 0): Fraction(3, 4),
+                         (0, 2): Fraction(-1, 9)}, chart)
+
+
+def _naive_wedge(a, b):
+    return Form.from_terms(a.chart, a.degree + b.degree,
+                           [(ka + kb, pa * pb) for ka, pa in a.components.items()
+                            for kb, pb in b.components.items()])
+
+
+def _naive_contract(v, a):
+    terms = []
+    for key, poly in a.components.items():
+        for j, idx in enumerate(key):
+            product = v.components[idx] * poly
+            terms.append((key[:j] + key[j + 1:], product if j % 2 == 0 else -product))
+    return Form.from_terms(a.chart, a.degree - 1, terms)
+
+
+def _naive_apply(v, f):
+    out = f.chart.constant(0)
+    for i, comp in enumerate(v.components):
+        out = out + comp * f.diff(i)
+    return out
+
+
+def _naive_bracket(v, w):
+    n = v.chart.dim
+    comps = []
+    for i in range(n):
+        acc = v.chart.constant(0)
+        for j in range(n):
+            acc = acc + v.components[j] * w.components[i].diff(j)
+            acc = acc - w.components[j] * v.components[i].diff(j)
+        comps.append(acc)
+    return VectorField(v.chart, tuple(comps))
+
+
+@st.composite
+def scalars_on(draw, chart):
+    return ScalarField.from_terms(chart, draw(term_lists(chart.dim)))
+
+
+@st.composite
+def forms_on(draw, chart, degree):
+    keys = list(itertools.combinations(range(chart.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)) if keys else []
+    return Form(chart, degree, {key: draw(scalars_on(chart)) for key in chosen})
+
+
+@st.composite
+def vectors_on(draw, chart):
+    zero = chart.constant(0)
+    return VectorField(chart, tuple(draw(st.one_of(st.just(zero), scalars_on(chart)))
+                                    for _ in range(chart.dim)))
+
+
+def assert_form_canonical(a):
+    for key, poly in a.components.items():
+        assert len(key) == a.degree and list(key) == sorted(set(key))
+        assert not poly.is_zero
+        assert_canonical(poly)
+
+
+@kernel_settings
+@given(st.data())
+def test_fused_form_operations_match_naive_versions(data):
+    dim = data.draw(st.integers(1, 4))
+    chart = Chart(NAMES[:dim], data.draw(coefficients))
+    p = data.draw(st.integers(0, dim))
+    q = data.draw(st.integers(0, dim))
+    a, b = data.draw(forms_on(chart, p)), data.draw(forms_on(chart, q))
+    v, w = data.draw(vectors_on(chart)), data.draw(vectors_on(chart))
+    f = data.draw(scalars_on(chart))
+    for got, expected in [(a.wedge(b), _naive_wedge(a, b)),
+                          (a.wedge(a), _naive_wedge(a, a)),
+                          (v.contract(a), _naive_contract(v, a)),
+                          (v.contract(a.wedge(b)), _naive_contract(v, _naive_wedge(a, b)))]:
+        assert_form_canonical(got)
+        assert got == expected
+        assert str(got) == str(expected)
+    assert_matches(v.apply(f), dict(_naive_apply(v, f).terms), chart)
+    for got, expected in [(v.bracket(w), _naive_bracket(v, w)),
+                          (v.bracket(v), _naive_bracket(v, v))]:
+        assert got == expected
+        for comp in got.components:
+            assert_canonical(comp)

@@ -23,7 +23,7 @@ from genform import (
     render_session,
     substitute,
 )
-from genform.session import MAX_EXPONENT, MAX_NESTING
+from genform.session import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING
 
 
 def test_chart_and_pair_literal():
@@ -290,3 +290,25 @@ def test_exponent_bound_is_checked_before_evaluating(monkeypatch):
             parse_session(f"chart x\np = (1 + x)^{exponent}")
         assert info.value.code == "E_PARSE"
         assert (info.value.line, info.value.col) == (2, 13)
+
+
+@pytest.mark.parametrize("template,col", [
+    ("chart x\na = {}*x", 5),
+    ("chart x\na = 1/{}", 7),
+    ("chart x k={}\na = x", 11),
+    ("chart x k=-3/{}\na = x", 14),
+])
+def test_overlong_integer_literal_is_a_parse_error(template, col):
+    with pytest.raises(ParseError) as info:
+        parse_session(template.format("9" * (MAX_LITERAL_DIGITS + 1)))
+    assert info.value.code == "E_PARSE"
+    line = 2 if template.startswith("chart x\n") else 1
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_literal_limit_counts_digits_after_leading_zeros():
+    widest = "9" * MAX_LITERAL_DIGITS
+    session = parse_session(f"chart x k=1/{widest}\na = {widest}*x\nb = {'0' * 5000}7")
+    assert session.definitions["a"].terms == {(1,): int(widest)}
+    assert session.chart.k == Fraction(1, int(widest))
+    assert session.definitions["b"] == session.chart.constant(7)
