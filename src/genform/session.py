@@ -38,16 +38,33 @@ increasing d-indices, explicit ``-1*`` leading coefficients) chosen so that
 parsing, printing and re-parsing is the identity on parsed sessions.
 
 Diagnostics carry a position and one of the stable codes E_LEX, E_PARSE,
-E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of three limits
-is an E_PARSE error: expressions nest at most ``MAX_NESTING`` levels deep
+E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of five limits is
+an E_PARSE error: expressions nest at most ``MAX_NESTING`` levels deep
 (parentheses, pair brackets and operation calls each open a level), which
 keeps the recursive-descent parser within Python's recursion limit; ``^``
-takes exponents up to ``MAX_EXPONENT``; and an integer literal (numerator,
+takes exponents up to ``MAX_EXPONENT``; an integer literal (numerator,
 denominator or the chart's ``k``) has at most ``MAX_LITERAL_DIGITS`` digits
 after its leading zeros, Python's default limit on converting a decimal
-string to an ``int``.  The exponent bound caps the exponent, not the size of
-the power: a many-term base in several coordinates can still expand to a
-very large polynomial.
+string to an ``int``; a product of two scalars, by ``*``, ``smul`` or a
+squaring step of ``^``, may take at most ``MAX_PRODUCT_TERMS`` term
+products (terms of one operand times terms of the other), checked before it
+is computed and reported at its ``*``, operation name or ``^``; and every
+coefficient of a definition's value must print with at most
+``MAX_LITERAL_DIGITS`` digits in its numerator and its denominator, reported
+at the definition's name, so that every value that parses can be printed.
+Operation calls (``wedge``, ``L``, ``comm``, ...) have no product limit.
+
+Parsing makes two passes.  The tokenizer runs one regular expression over
+the text, each match being the whitespace and comments before a token and
+the token itself.  The recursive-descent parser then builds every value
+once: a monomial term (``-3/4*x^2*y``: numbers and coordinates, each with
+optional ``^`` and unary minus, joined by ``*``) is read straight into an
+integer numerator, denominator and exponent vector, and a run of monomial
+terms joined by ``+`` and ``-`` becomes one polynomial, summed over the lcm
+of the denominators and canonicalised once.  Every other term, and every
+operand combined with one, goes through the general rules, which give the
+same values and the same diagnostics as if no term had been read as a
+monomial.
 """
 
 from __future__ import annotations
@@ -55,18 +72,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
 from .forms import Form, VectorField
 from .generalized import GeneralizedForm, GeneralizedVector
-from .scalars import Chart, ScalarField, rational_str
+from .scalars import Chart, ScalarField, _from_ints, rational_str
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 4300
+MAX_PRODUCT_TERMS = 10 ** 5
 
 OP_NAMES = ("wedge", "d", "I", "L", "Lc", "Lv", "comm", "scale", "add", "smul")
 
@@ -84,6 +103,39 @@ def _kind(value) -> str:
         if isinstance(value, cls):
             return label
     return type(value).__name__
+
+
+def _scalars(value: Value) -> list[ScalarField]:
+    """Every polynomial coefficient of a value."""
+    if isinstance(value, ScalarField):
+        return [value]
+    if isinstance(value, Form):
+        return list(value.components.values())
+    if isinstance(value, VectorField):
+        return list(value.components)
+    if isinstance(value, GeneralizedForm):
+        return _scalars(value.ordinary) + _scalars(value.companion)
+    return _scalars(value.v1) + _scalars(value.v0)
+
+
+# The smallest integer with more than MAX_LITERAL_DIGITS digits, and a bit
+# length below which an integer is certainly smaller.
+_UNPRINTABLE = 10 ** MAX_LITERAL_DIGITS
+_PRINTABLE_BITS = _UNPRINTABLE.bit_length()
+
+
+def _printable(f: ScalarField) -> bool:
+    """Whether every coefficient of f prints with at most MAX_LITERAL_DIGITS digits
+    in its numerator and its denominator, as the parser reads them back."""
+    den = f._den
+    if (den.bit_length() < _PRINTABLE_BITS
+            and max(map(int.bit_length, f._num.values()), default=0) < _PRINTABLE_BITS):
+        return True
+    for c in f._num.values():
+        g = gcd(c, den)  # each coefficient prints in lowest terms
+        if abs(c) // g >= _UNPRINTABLE or den // g >= _UNPRINTABLE:
+            return False
+    return True
 
 
 def _as_form(value: ScalarField | Form) -> Form:
@@ -106,56 +158,58 @@ def _collapse(value: Value) -> Value:
     return value
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "eof", or the punctuation character itself
     text: str
     line: int
     col: int
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"\d+")
-_PUNCT = "@,=()[]{};+-*^/"
+# One match per token: the whitespace, newlines and comments before it, then
+# exactly one of the groups below.
+_TOKEN_RE = re.compile(r"""
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:([A-Za-z_][A-Za-z_0-9]*)   # 1: identifier
+      |(\d+)                      # 2: integer
+      |([@,=()\[\]{};+\-*^/])     # 3: punctuation, its own kind
+      |(\Z)                       # 4: end of text
+      |(.))                       # 5: a character no token starts with
+""", re.VERBOSE)
+_GROUP_KINDS = (None, "ident", "int")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending in one ``eof`` token.
+
+    Columns count characters from one.  A comment does not advance the
+    column, so after a comment on the last line ``eof`` sits at its ``#``.
+    """
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, "E_LEX", f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", line, col))
+    append = tokens.append
+    make = tuple.__new__  # _Token(...) without its keyword-handling __new__
+    line, line_start = 1, 0  # line_start: index of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        start = m.start(group)
+        skipped = m.start()
+        if start != skipped:
+            newline = text.rfind("\n", skipped, start)
+            if newline >= 0:
+                line += text.count("\n", skipped, start)
+                line_start = newline + 1
+        if group == 3:
+            char = m[3]
+            append(make(_Token, (char, char, line, start - line_start + 1)))
+        elif group < 3:
+            append(make(_Token, (_GROUP_KINDS[group], m[group], line, start - line_start + 1)))
+        elif group == 5:
+            raise ParseError(line, start - line_start + 1, "E_LEX",
+                             f"unexpected character {m[5]!r}")
+        else:
+            comment = text.find("#", line_start)
+            end = comment if comment >= 0 else start
+            append(_Token("eof", "", line, end - line_start + 1))
+            break
     return tokens
 
 
@@ -212,16 +266,21 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.chart: Chart | None = None  # set by _parse_chart
+        self.coords: dict[str, int] = {}  # coordinate name -> index, set by _parse_chart
         self.definitions: dict[str, Value] = {}
         self.depth = 0  # expressions currently open
 
     # -- token plumbing ----------------------------------------------------
+    #
+    # The token list ends in its ``eof`` sentinel, and every rule that
+    # consumes ``eof`` raises, so the parser never looks past the sentinel:
+    # lookahead indexes the list directly.
 
     def _peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def _next(self) -> _Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -253,7 +312,12 @@ class _Parser:
             if name in self.definitions:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
             self._expect("=", "'='")
-            self.definitions[name] = _collapse(self._expr())
+            value = _collapse(self._expr())
+            if not all(map(_printable, _scalars(value))):
+                self._err(name_tok, "E_PARSE",
+                          f"value of '{name}' has a coefficient of more than "
+                          f"{MAX_LITERAL_DIGITS} digits")
+            self.definitions[name] = value
         return Session(self.chart, self.definitions)
 
     def _parse_chart(self):
@@ -279,25 +343,27 @@ class _Parser:
             self._next()
             k = self._signed_rational()
         self.chart = Chart(tuple(names), k)
+        self.coords = {name: i for i, name in enumerate(names)}
 
     def _signed_rational(self) -> Fraction:
         negative = False
         while self._peek().kind == "-":
             self._next()
             negative = not negative
-        value = self._rational(self._expect("int", "a number"))
+        value = Fraction(*self._ratio(self._expect("int", "a number")))
         return -value if negative else value
 
-    def _rational(self, int_tok: _Token) -> Fraction:
+    def _ratio(self, int_tok: _Token) -> tuple[int, int]:
+        """The literal ``INT ("/" INT)?`` that starts at ``int_tok``, as (num, den)."""
         num = self._literal(int_tok)
-        if self._peek().kind == "/":
-            self._next()
+        if self.tokens[self.pos].kind == "/":
+            self.pos += 1
             den_tok = self._expect("int", "a denominator")
             den = self._literal(den_tok)
             if den == 0:
                 self._err(den_tok, "E_PARSE", "zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def _literal(self, tok: _Token) -> int:
         digits = tok.text.lstrip("0") or "0"
@@ -307,28 +373,118 @@ class _Parser:
         return int(digits)
 
     # -- expressions ---------------------------------------------------------
+    #
+    # Most terms are monomials, ``3*x^2*y``.  ``_monomial`` reads them into a
+    # (numerator, denominator, exponents) triple without building a
+    # ScalarField, and ``_expr`` adds a run of them into one numerator map,
+    # canonicalised once.  Any other term goes through ``_factor``/``_mul``/
+    # ``_add``, and the pending monomials are added up before it is combined,
+    # so those rules see the operands, tokens and errors they always saw.
 
     def _expr(self) -> Value:
         if self.depth == MAX_NESTING:
             self._err(self._peek(), "E_PARSE",
                       f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
-        value = self._term()
-        while self._peek().kind in ("+", "-"):
+        value = None  # the sum of the terms before the pending monomials
+        monomials: list[tuple[int, int, tuple[int, ...]]] = []
+        op = None
+        while True:
+            term = self._term()
+            negate = op is not None and op.kind == "-"
+            if type(term) is tuple and (value is None or isinstance(value, ScalarField)):
+                num, den, exps = term
+                monomials.append((-num if negate else num, den, exps))
+            else:
+                if type(term) is tuple:
+                    term = self._scalar(*term)
+                if negate:
+                    term = -term
+                if monomials:
+                    value = self._add_monomials(value, monomials)
+                    monomials = []
+                value = term if value is None else self._add(value, term, op)
+            if self.tokens[self.pos].kind not in ("+", "-"):
+                break
             op = self._next()
-            rhs = self._term()
-            if op.kind == "-":
-                rhs = -rhs
-            value = self._add(value, rhs, op)
+        if monomials:
+            value = self._add_monomials(value, monomials)
         self.depth -= 1
         return _collapse(value)
 
-    def _term(self) -> Value:
-        value = self._factor()
-        while self._peek().kind == "*":
+    def _term(self) -> Value | tuple[int, int, tuple[int, ...]]:
+        """A term's value, or its monomial triple when every factor is a number or coordinate."""
+        value = self._monomial()
+        if value is None:
+            value = self._factor()
+        elif self.tokens[self.pos].kind == "*":
+            value = self._scalar(*value)
+        else:
+            return value
+        while self.tokens[self.pos].kind == "*":
             op = self._next()
             value = self._mul(value, self._factor(), op)
         return value
+
+    def _monomial(self) -> tuple[int, int, tuple[int, ...]] | None:
+        """Read the run ``-* (INT ("/" INT)? | COORD) ("^" INT)*`` joined by ``*``.
+
+        Returns (numerator, denominator, exponents) and stops before the first
+        ``*`` whose factor starts any other way, so ``_term`` reads that factor
+        generically; returns None, having read nothing, when the first factor
+        does.  Tokens are checked in the order ``_factor`` checks them.
+        """
+        tokens = self.tokens
+        num, den, negative = 1, 1, False
+        exps = [0] * self.chart.dim
+        begin = self.pos
+        while True:
+            start = pos = self.pos
+            while tokens[pos].kind == "-":
+                pos += 1
+            tok = tokens[pos]
+            if tok.kind == "int":
+                self.pos = pos + 1
+                base_num, base_den = self._ratio(tok)
+                coord = None
+            elif tok.kind == "ident" and tok.text in self.coords:
+                self.pos = pos + 1
+                coord = self.coords[tok.text]
+            elif start == begin:
+                return None
+            else:
+                self.pos = start - 1  # back to the "*" before this factor
+                break
+            power = 1
+            while tokens[self.pos].kind == "^":
+                self.pos += 1
+                power *= self._exponent()
+            if coord is None:
+                num *= base_num ** power
+                den *= base_den ** power
+            else:
+                exps[coord] += power
+            negative ^= (pos - start) & 1
+            if tokens[self.pos].kind != "*":
+                break
+            self.pos += 1
+        return (-num if negative else num), den, tuple(exps)
+
+    def _scalar(self, num: int, den: int, exps: tuple[int, ...]) -> ScalarField:
+        return _from_ints(self.chart, {exps: num} if num else {}, den)
+
+    def _add_monomials(self, value: ScalarField | None,
+                       monomials: list[tuple[int, int, tuple[int, ...]]]) -> ScalarField:
+        """value plus the monomials, which are summed over the lcm of their denominators."""
+        den = lcm(*[d for _, d, _ in monomials])
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for num, d, exps in monomials:
+            acc[exps] = get(exps, 0) + (num if d == den else num * (den // d))
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        total = _from_ints(self.chart, acc, den)
+        return total if value is None else value + total
 
     def _factor(self) -> Value:
         negate = False
@@ -343,36 +499,49 @@ class _Parser:
                           "'^' raises a scalar to an integer power; basis differentials "
                           "chain directly (dx^dy) and general forms use wedge(...)")
             self._next()
-            exp_tok = self._expect("int", "an integer exponent")
-            exponent = self._literal(exp_tok)
-            if exponent > MAX_EXPONENT:
-                self._err(exp_tok, "E_PARSE", f"exponent {exp_tok.text} exceeds {MAX_EXPONENT}")
-            value = self._power(value, exponent)
+            value = self._power(value, self._exponent(), caret)
         return -value if negate else value
 
-    def _power(self, base: ScalarField, exponent: int) -> ScalarField:
+    def _exponent(self) -> int:
+        """The integer after a ``^``, at most MAX_EXPONENT."""
+        exp_tok = self._expect("int", "an integer exponent")
+        exponent = self._literal(exp_tok)
+        if exponent > MAX_EXPONENT:
+            self._err(exp_tok, "E_PARSE", f"exponent {exp_tok.text} exceeds {MAX_EXPONENT}")
+        return exponent
+
+    def _power(self, base: ScalarField, exponent: int, caret: _Token) -> ScalarField:
         """base ** exponent by repeated squaring: one product per bit and per set bit."""
         out = None
         while True:
             if exponent & 1:
-                out = base if out is None else out * base
+                out = base if out is None else self._product(out, base, caret)
             exponent >>= 1
             if not exponent:
                 return self.chart.constant(1) if out is None else out
-            base = base * base
+            base = self._product(base, base, caret)
+
+    def _product(self, a: ScalarField, b: ScalarField, tok: _Token) -> ScalarField:
+        """a * b, refused before any work when it needs too many term products."""
+        if len(a._num) * len(b._num) > MAX_PRODUCT_TERMS:
+            self._err(tok, "E_PARSE",
+                      f"product of a {len(a._num)}-term and a {len(b._num)}-term polynomial "
+                      f"exceeds {MAX_PRODUCT_TERMS} term products")
+        return a * b
 
     def _atom(self) -> Value:
         tok = self._next()
         if tok.kind == "int":
-            return self.chart.constant(self._rational(tok))
+            num, den = self._ratio(tok)
+            return self._scalar(num, den, (0,) * self.chart.dim)
         if tok.kind == "ident":
             text = tok.text
             if text in OP_NAMES and self._peek().kind == "(":
                 return self._opcall(tok)
             if text in self.definitions:
                 return self.definitions[text]
-            if text in self.chart.names:
-                return self.chart.coordinate(self.chart.names.index(text))
+            if text in self.coords:
+                return self.chart.coordinate(self.coords[text])
             if self._is_differential(tok):
                 return self._dblock(tok)
             self._err(tok, "E_NAME", f"unknown name '{text}'")
@@ -478,7 +647,7 @@ class _Parser:
 
     def _mul(self, a: Value, b: Value, tok: _Token) -> Value:
         if isinstance(a, ScalarField):
-            return a * b if isinstance(b, ScalarField) else b.__rmul__(a)
+            return self._product(a, b, tok) if isinstance(b, ScalarField) else b.__rmul__(a)
         if isinstance(b, ScalarField):
             return a.__rmul__(b)
         self._err(tok, "E_TYPE",

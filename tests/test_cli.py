@@ -1,8 +1,11 @@
 """CLI behavior: subcommands, exit codes, diagnostics, deterministic output."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from genform.cli import main
+from session_texts import mutated_sessions, short_texts
 from genform.session import MAX_LITERAL_DIGITS, MAX_NESTING
 
 
@@ -147,3 +150,30 @@ def test_show_overlong_literal_is_a_diagnostic(session_file, capsys):
     assert status == 2
     assert out == ""
     assert err.startswith("2:11: E_PARSE: ")
+
+
+def test_show_unprintable_result_is_a_diagnostic(session_file, capsys):
+    path = session_file("chart x\na = " + "9" * 3000 + "\nb = a*a\n")
+    status, out, err = run(capsys, ["show", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("3:1: E_PARSE: ")
+
+
+def test_show_oversized_power_is_a_diagnostic(session_file, capsys):
+    path = session_file("chart x, y, z\na = (1+x+y+z)^60\n")
+    status, out, err = run(capsys, ["show", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("2:14: E_PARSE: ")
+
+
+# one file, rewritten by every example
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(mutated_sessions(), short_texts))
+def test_show_exits_0_or_2_on_any_text(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.gf"
+    path.write_text(text, encoding="utf-8")
+    status, out, err = run(capsys, ["show", str(path)])
+    assert (status, bool(out), bool(err)) in ((0, True, False), (2, False, True))

@@ -23,7 +23,8 @@ from genform import (
     render_session,
     substitute,
 )
-from genform.session import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING
+import genform.session as session_module
+from genform.session import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_PRODUCT_TERMS
 
 
 def test_chart_and_pair_literal():
@@ -312,3 +313,59 @@ def test_literal_limit_counts_digits_after_leading_zeros():
     assert session.definitions["a"].terms == {(1,): int(widest)}
     assert session.chart.k == Fraction(1, int(widest))
     assert session.definitions["b"] == session.chart.constant(7)
+
+
+def test_product_term_limit_stops_a_power_before_its_work(monkeypatch):
+    largest = []
+    original = ScalarField.__mul__
+
+    def recording_mul(self, other):
+        largest.append(len(self.terms) * len(other.terms))
+        return original(self, other)
+
+    monkeypatch.setattr(ScalarField, "__mul__", recording_mul)
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x, y, z\na = (1+x+y+z)^60")
+    assert info.value.code == "E_PARSE"
+    assert (info.value.line, info.value.col) == (2, 14)  # the '^'
+    assert "term products" in info.value.message
+    assert max(largest) <= MAX_PRODUCT_TERMS
+
+
+def test_product_term_limit_applies_to_star(monkeypatch):
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x, y, z\nf = (1+x+y+z)^12\ng = 2*f*f")
+    assert info.value.code == "E_PARSE"
+    assert (info.value.line, info.value.col) == (3, 8)  # the second '*'
+    monkeypatch.setattr(session_module, "MAX_PRODUCT_TERMS", 6)
+    session = parse_session("chart x, y\na = (1 + x)*(1 + x + y)")
+    x, y = session.chart.coordinates()
+    assert session.definitions["a"] == (1 + x) * (1 + x + y)
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x, y\na = (1 + x)*(1 + x + y + x*y)")
+    assert (info.value.line, info.value.col) == (2, 12)
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x, y\na = smul(1 + x, 1 + x + y + x*y)")
+    assert (info.value.line, info.value.col) == (2, 5)
+
+
+def test_unprintable_value_is_a_parse_error_at_its_name():
+    nines = "9" * 3000
+    session = parse_session(f"chart x\na = {nines}")
+    assert session.definitions["a"] == session.chart.constant(int(nines))
+    with pytest.raises(ParseError) as info:
+        parse_session(f"chart x\na = {nines}\nb = a*a")
+    assert info.value.code == "E_PARSE"
+    assert (info.value.line, info.value.col) == (3, 1)
+    assert "more than 4300 digits" in info.value.message
+    with pytest.raises(ParseError) as info:
+        parse_session(f"chart x\na = {nines}\nb = [x ; a*a*dx]")
+    assert (info.value.line, info.value.col) == (3, 1)
+
+
+def test_printable_check_reads_coefficients_in_lowest_terms():
+    # the common denominator has about 6000 digits, every printed one 3001
+    text = f"chart x, y\na = 1/1{'0' * 2999}1*x + 1/{'9' * 3000}*y\n"
+    session = parse_session(text)
+    assert session.definitions["a"]._den > 10 ** MAX_LITERAL_DIGITS
+    _round_trip(text)

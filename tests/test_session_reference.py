@@ -1,0 +1,91 @@
+"""The session parser against its frozen reference and recorded diagnostics.
+
+``tests/reference_session.py`` is the parser as it was before its fast path
+and ``tests/golden/diagnostics.txt`` holds the exact diagnostics that parser
+gave on malformed sessions; both were recorded before the fast path existed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import reference_session
+from genform import ParseError, parse_session
+from session_texts import mutated_sessions, session_text, short_texts
+
+GOLDEN = Path(__file__).parent / "golden" / "diagnostics.txt"
+
+# Each line is the repr of a session text, a tab, then its diagnostic.
+DIAGNOSTICS = [line.split("\t") for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+
+
+def _diagnostic(parse, text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    exc = info.value
+    return f"{exc.line}:{exc.col}: {exc.code}: {exc.message}"
+
+
+@pytest.mark.parametrize("text_repr,expected", DIAGNOSTICS,
+                         ids=[f"line{i + 1}" for i in range(len(DIAGNOSTICS))])
+def test_golden_diagnostics(text_repr, expected):
+    text = ast.literal_eval(text_repr)
+    assert _diagnostic(parse_session, text) == expected
+    assert _diagnostic(reference_session.parse_session, text) == expected
+
+
+def test_golden_diagnostics_cover_the_listed_cases():
+    texts = [ast.literal_eval(text_repr) for text_repr, _ in DIAGNOSTICS]
+    assert len(texts) >= 40
+    for needle in ("# c", "\t", "\r", "²", "٣", "x^2^3", "2^3", "x*-y", "-(-x)",
+                   "x(1)", "x + dx", "dx + x", "[x ; dx", "/0"):
+        assert any(needle in text for text in texts), needle
+
+
+# -- differential test against the reference parser ---------------------------
+
+# Limits the reference does not have; inputs that reach them are outside its domain.
+_NEW_LIMITS = ("term products", "coefficient of more than")
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.code, exc.message)
+    chart, definitions = result
+    return ("ok", chart, [(name, type(value), value) for name, value in definitions.items()])
+
+
+def _parse_new(text):
+    session = parse_session(text)
+    return session.chart, session.definitions
+
+
+def _assert_agrees(text):
+    new = _outcome(_parse_new, text)
+    if new[0] == "error" and new[3] == "E_PARSE" and any(s in new[4] for s in _NEW_LIMITS):
+        return
+    assert new == _outcome(reference_session.parse_session, text)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mutated_sessions())
+def test_parser_agrees_with_reference_on_mutated_sessions(text):
+    _assert_agrees(text)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(short_texts)
+def test_parser_agrees_with_reference_on_short_text(text):
+    _assert_agrees(text)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_parser_agrees_with_reference_on_generated_sessions(dim):
+    for seed in range(5):
+        text = session_text(seed, dim)
+        assert _outcome(_parse_new, text)[0] == "ok"
+        _assert_agrees(text)
