@@ -10,15 +10,24 @@ always the canonical zero, which keeps every operator total: contracting a
 error.  Zero forms of different degree tags compare equal.
 
 Vector fields hold one scalar component per coordinate.  The Lie derivative
-of a form is computed with the homotopy formula i_v d + d i_v.
+of a form is computed with the coordinate formula
 
-Every coefficient of a wedge product, a contraction, a directional
-derivative or a bracket is a sum of products of coefficients; each is built
-by one call of the scalar kernel's fused sum of products, grouped by output
-index tuple.  The public constructors ``Form(...)`` and ``Form.from_terms``
-check keys, degrees and charts; results of the operations here go through
-the private trusted constructor ``_trusted_form``, which only drops zero
-coefficients.
+    (L_v a)_I = sum_j v^j d_j a_I + sum_s sum_j a_I d_j v^{i_s} [slot s of I := j],
+
+not with the homotopy formula i_v d + d i_v, so the identity suite's checks
+of the homotopy formula compare two independent computations.
+
+Every coefficient of a wedge product, a contraction, a Lie derivative, a
+directional derivative or a bracket is a sum of products of coefficients;
+each is built by one call of the scalar kernel's fused sum of products.  The
+private accumulators ``_wedge_into``, ``_contract_into``, ``_scale_into``,
+``_lie_into`` and ``_apply_into`` append the (sign, a, b) products of one
+operation to a map from output index tuple to products (a list for scalar
+results), so a sum of several operations, as the pair calculus needs, is
+still one kernel call per coefficient.  The public constructors
+``Form(...)`` and ``Form.from_terms`` check keys, degrees and charts;
+results of the operations here go through the private trusted constructor
+``_trusted_form``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .scalars import (
 )
 
 Key = tuple[int, ...]
+Groups = dict[Key, list]  # output index tuple -> (sign, a, b) products
 
 
 def _normalize_key(key: Key) -> tuple[Key | None, int]:
@@ -156,12 +166,8 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         """Antisymmetrized product; degree adds, repeated indices cancel."""
         _require_same_chart(self.chart, other.chart)
-        groups: dict[Key, list] = {}
-        for ka, pa in self.components.items():
-            for kb, pb in other.components.items():
-                key, sign = _normalize_key(ka + kb)
-                if key is not None:
-                    groups.setdefault(key, []).append((sign, pa, pb))
+        groups: Groups = {}
+        _wedge_into(groups, self, other)
         return _fused_form(self.chart, self.degree + other.degree, groups)
 
     def d(self) -> "Form":
@@ -251,38 +257,28 @@ class VectorField:
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
         _require_same_chart(self.chart, f.chart)
-        return _sum_products(self.chart, [(1, comp, f.diff(i))
-                                          for i, comp in enumerate(self.components) if comp])
+        triples: list = []
+        _apply_into(triples, self, f)
+        return _sum_products(self.chart, triples)
 
     def contract(self, a: Form) -> Form:
         """Interior product: slot-wise pairing with alternating signs."""
         _require_same_chart(self.chart, a.chart)
-        groups: dict[Key, list] = {}
-        for key, poly in a.components.items():
-            for j, idx in enumerate(key):
-                comp = self.components[idx]
-                if comp:
-                    groups.setdefault(key[:j] + key[j + 1:], []).append(
-                        (-1 if j & 1 else 1, comp, poly))
+        groups: Groups = {}
+        _contract_into(groups, self, a)
         return _fused_form(self.chart, a.degree - 1, groups)
 
     def lie(self, a: Form) -> Form:
-        """Lie derivative of a form along this field (homotopy formula)."""
-        return self.contract(a.d()) + self.contract(a).d()
+        """Lie derivative of a form along this field (coordinate formula)."""
+        _require_same_chart(self.chart, a.chart)
+        groups: Groups = {}
+        _lie_into(groups, self, a)
+        return _fused_form(self.chart, a.degree, groups)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Commutator of vector fields, component i: sum_j (v^j d_j w^i - w^j d_j v^i)."""
         _require_same_chart(self.chart, other.chart)
-        comps = []
-        for vi, wi in zip(self.components, other.components):
-            triples = []
-            for j, (vj, wj) in enumerate(zip(self.components, other.components)):
-                if vj:
-                    triples.append((1, vj, wi.diff(j)))
-                if wj:
-                    triples.append((-1, wj, vi.diff(j)))
-            comps.append(_sum_products(self.chart, triples))
-        return VectorField(self.chart, tuple(comps))
+        return _fused_vector(self.chart, _bracket_rows(self, other))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -312,10 +308,92 @@ def _trusted_form(chart: Chart, degree: int, components: Mapping[Key, ScalarFiel
     return f
 
 
-def _fused_form(chart: Chart, degree: int, groups: Mapping[Key, list]) -> Form:
+def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
     """The form whose coefficient at each key is the kernel's sum of that key's products."""
     return _trusted_form(chart, degree,
                          {key: _sum_products(chart, triples) for key, triples in groups.items()})
+
+
+def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:
+    """The vector field whose component i is the kernel's sum of ``rows[i]``."""
+    return VectorField(chart, tuple(_sum_products(chart, triples) for triples in rows))
+
+
+# ---------------------------------------------------------------------------
+# Accumulators.  Each appends the (sign, a, b) products of one operation,
+# scaled by an integer ``sign``, to ``groups``, a map from output index tuple
+# to products, or to ``triples``, the products of one scalar.  Operands must
+# share one chart; nothing checks it.
+
+
+def _wedge_into(groups: Groups, a: Form, b: Form, sign: int = 1) -> None:
+    """sign * (a ^ b)."""
+    for ka, pa in a.components.items():
+        for kb, pb in b.components.items():
+            key, parity = _normalize_key(ka + kb)
+            if key is not None:
+                groups.setdefault(key, []).append((sign * parity, pa, pb))
+
+
+def _contract_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
+    """sign * i_v a: slot j is dropped with sign (-1)^j."""
+    comps = v.components
+    for key, poly in a.components.items():
+        for j, idx in enumerate(key):
+            comp = comps[idx]
+            if comp:
+                groups.setdefault(key[:j] + key[j + 1:], []).append(
+                    (-sign if j & 1 else sign, comp, poly))
+
+
+def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:
+    """sign * f a."""
+    for key, poly in a.components.items():
+        groups.setdefault(key, []).append((sign, f, poly))
+
+
+def _apply_into(triples: list, v: VectorField, f: ScalarField, sign: int = 1) -> None:
+    """sign * v(f) = sign * sum_i v^i d_i f."""
+    for i, comp in enumerate(v.components):
+        if comp:
+            df = f.diff(i)
+            if df:
+                triples.append((sign, comp, df))
+
+
+def _lie_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
+    """sign * L_v a by the coordinate formula.
+
+    Coefficient I gets v(a_I), and for each slot s of I and each coordinate
+    j the term a_I d_j v^{i_s} on I with slot s replaced by j (L_v dx^i is
+    d v^i), sorted by ``_normalize_key`` and dropped on a repeated index.
+    """
+    comps = v.components
+    n = len(comps)
+    dv: dict[int, list[ScalarField]] = {}  # i -> the partials of v^i, on first use
+    for key, poly in a.components.items():
+        triples = groups.setdefault(key, [])
+        _apply_into(triples, v, poly, sign)
+        for s, i in enumerate(key):
+            row = dv.get(i)
+            if row is None:
+                row = dv[i] = [comps[i].diff(j) for j in range(n)] if comps[i] else []
+            for j, dvi in enumerate(row):
+                if dvi:
+                    new, parity = _normalize_key(key[:s] + (j,) + key[s + 1:])
+                    if new is not None:
+                        groups.setdefault(new, []).append((sign * parity, poly, dvi))
+
+
+def _bracket_rows(v: VectorField, w: VectorField) -> list[list]:
+    """The products of each component of [v, w]: v(w^i) - w(v^i)."""
+    rows = []
+    for vi, wi in zip(v.components, w.components):
+        triples: list = []
+        _apply_into(triples, v, wi)
+        _apply_into(triples, w, vi, -1)
+        rows.append(triples)
+    return rows
 
 
 def _merge_terms(pairs: Iterable[tuple[Key, ScalarField]]) -> dict[Key, ScalarField]:

@@ -30,6 +30,17 @@ do not swap them for rearranged equivalents.
 
 Degrees outside [-1, n] can only arise for identically zero pairs and are
 clamped back into range; zero pairs compare equal regardless of degree tag.
+
+Each coefficient of a result is one call of the scalar kernel's fused sum of
+products: the slot formulas above are collected with the accumulators of
+:mod:`genform.forms` (wedge, contraction, scaling by a scalar, Lie
+derivative, directional derivative) into one list of products per output
+coefficient, so a slot that is a sum of several terms builds no intermediate
+form or scalar.  In lie on forms, ``k v0`` is scaled once and both slots
+multiply it by their integer degree factor.  The ordinary Lie derivative
+L_{v1} uses the coordinate formula, while lie_cartan stays the literal
+composition I_V d + d I_V, so the identities relating the two compare
+independent computations.
 """
 
 from __future__ import annotations
@@ -38,8 +49,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Chart, ScalarField, _require_same_chart
-from .forms import Form, VectorField
+from .scalars import Chart, ScalarField, _require_same_chart, _sum_products
+from .forms import (
+    Form,
+    Groups,
+    VectorField,
+    _apply_into,
+    _bracket_rows,
+    _contract_into,
+    _fused_form,
+    _fused_vector,
+    _lie_into,
+    _scale_into,
+    _wedge_into,
+)
 
 
 def _sign(e: int) -> int:
@@ -136,10 +159,11 @@ class GeneralizedForm:
     def wedge(self, other: "GeneralizedForm") -> "GeneralizedForm":
         _require_same_chart(self.chart, other.chart)
         q = other.degree
-        ordinary = self.ordinary.wedge(other.ordinary)
-        companion = self.ordinary.wedge(other.companion) \
-            + _sign(q) * self.companion.wedge(other.ordinary)
-        return GeneralizedForm(ordinary, companion)
+        groups: Groups = {}
+        _wedge_into(groups, self.ordinary, other.companion)
+        _wedge_into(groups, self.companion, other.ordinary, _sign(q))
+        return GeneralizedForm(self.ordinary.wedge(other.ordinary),
+                               _fused_form(self.chart, self.degree + q + 1, groups))
 
     def d(self) -> "GeneralizedForm":
         k = self.chart.k
@@ -216,18 +240,20 @@ class GeneralizedVector:
         if a0.degree != 0:
             raise DegreeError(f"scaling needs a degree-0 pair, got degree {a0.degree}")
         alpha0 = a0.ordinary.scalar_part()
-        v1 = alpha0 * self.v1
-        v0 = alpha0 * self.v0 + self.v1.contract(a0.companion).scalar_part()
-        return GeneralizedVector(v1, v0)
+        groups: Groups = {(): [(1, alpha0, self.v0)]}
+        _contract_into(groups, self.v1, a0.companion)
+        return GeneralizedVector(alpha0 * self.v1, _sum_products(self.chart, groups[()]))
 
     def contract(self, a: GeneralizedForm) -> GeneralizedForm:
         """Interior product I_V; the explicit degree factor kills the v0 term at p = 0."""
         _require_same_chart(self.chart, a.chart)
         p = a.degree
-        ordinary = self.v1.contract(a.ordinary)
-        companion = self.v1.contract(a.companion) \
-            + (p * _sign(p - 1)) * (self.v0 * a.ordinary)
-        return GeneralizedForm(ordinary, companion)
+        groups: Groups = {}
+        _contract_into(groups, self.v1, a.companion)
+        if p and self.v0:
+            _scale_into(groups, self.v0, a.ordinary, p * _sign(p - 1))
+        return GeneralizedForm(self.v1.contract(a.ordinary),
+                               _fused_form(self.chart, p, groups))
 
     def lie_cartan(self, a: GeneralizedForm) -> GeneralizedForm:
         """Uncorrected Lie derivative from the homotopy formula I_V d + d I_V."""
@@ -244,26 +270,28 @@ class GeneralizedVector:
         if isinstance(target, GeneralizedForm):
             _require_same_chart(self.chart, target.chart)
             p = target.degree
-            k = self.chart.k
-            ordinary = self.v1.lie(target.ordinary) \
-                - ((p * k) * self.v0) * target.ordinary
-            companion = self.v1.lie(target.companion) \
-                - (((p + 1) * k) * self.v0) * target.companion
-            return GeneralizedForm(ordinary, companion)
+            ordinary: Groups = {}
+            companion: Groups = {}
+            _lie_into(ordinary, self.v1, target.ordinary)
+            _lie_into(companion, self.v1, target.companion)
+            kv0 = self.chart.k * self.v0
+            if kv0:
+                if p:
+                    _scale_into(ordinary, kv0, target.ordinary, -p)
+                if p + 1:
+                    _scale_into(companion, kv0, target.companion, -(p + 1))
+            return GeneralizedForm(_fused_form(self.chart, p, ordinary),
+                                   _fused_form(self.chart, p + 1, companion))
         if isinstance(target, GeneralizedVector):
             _require_same_chart(self.chart, target.chart)
-            k = self.chart.k
-            v1 = self.v1.bracket(target.v1) + (k * self.v0) * target.v1
-            return GeneralizedVector(v1, self.v1.apply(target.v0))
+            return GeneralizedVector(_deformed_bracket(self, target),
+                                     self.v1.apply(target.v0))
         raise TypeError(f"cannot take a Lie derivative of {type(target).__name__}")
 
     def commutator(self, other: "GeneralizedVector") -> "GeneralizedVector":
         """Antisymmetric, k-independent bracket ([v1, w1], L_{v1} w0 - L_{w1} v0)."""
         _require_same_chart(self.chart, other.chart)
-        return GeneralizedVector(
-            self.v1.bracket(other.v1),
-            self.v1.apply(other.v0) - other.v1.apply(self.v0),
-        )
+        return GeneralizedVector(self.v1.bracket(other.v1), _cross_scalar(self, other))
 
     def __str__(self) -> str:
         return f"{{{self.v1} ; {self.v0}}}"
@@ -282,11 +310,26 @@ def cartan_residual(V: GeneralizedVector, W: GeneralizedVector,
     """
     _require_same_chart(V.chart, W.chart)
     _require_same_chart(V.chart, a.chart)
-    k = V.chart.k
-    cross = GeneralizedVector(
-        V.v1.bracket(W.v1) + (k * V.v0) * W.v1,
-        V.v1.apply(W.v0) - W.v1.apply(V.v0),
-    )
+    cross = GeneralizedVector(_deformed_bracket(V, W), _cross_scalar(V, W))
     return (V.lie_cartan(W.contract(a))
             - W.contract(V.lie_cartan(a))
             - cross.contract(a))
+
+
+def _deformed_bracket(V: GeneralizedVector, W: GeneralizedVector) -> VectorField:
+    """[v1, w1] + k v0 w1, each component one fused sum."""
+    rows = _bracket_rows(V.v1, W.v1)
+    kv0 = V.chart.k * V.v0
+    if kv0:
+        for triples, wi in zip(rows, W.v1.components):
+            if wi:
+                triples.append((1, kv0, wi))
+    return _fused_vector(V.chart, rows)
+
+
+def _cross_scalar(V: GeneralizedVector, W: GeneralizedVector) -> ScalarField:
+    """L_{v1} w0 - L_{w1} v0, one fused sum."""
+    triples: list = []
+    _apply_into(triples, V.v1, W.v0)
+    _apply_into(triples, W.v1, V.v0, -1)
+    return _sum_products(V.chart, triples)

@@ -126,42 +126,68 @@ def _position(pos) -> tuple:
 # can draw several objects.
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1, as CPython's ``Random._randbelow``.
+
+    ``randint(a, b)`` is ``a + _below(bits, b - a + 1)``, ``choice(seq)`` is
+    ``seq[_below(bits, len(seq))]`` and ``shuffle`` swaps item i with item
+    ``_below(bits, i + 1)`` for i from the last down to 1: the same draws in
+    the same order, without the argument handling of the ``random`` methods.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _gen_ratio(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[int, int]:
     """A random rational as (numerator, positive denominator), not reduced."""
+    bits = rng.getrandbits
     if nonzero:
-        num = rng.randint(1, bound) * rng.choice((-1, 1))
+        num = (1 + _below(bits, bound)) * (-1, 1)[_below(bits, 2)]
     else:
-        num = rng.randint(-bound, bound)
-    return num, rng.randint(1, bound)
+        num = _below(bits, 2 * bound + 1) - bound
+    return num, 1 + _below(bits, bound)
 
 
 def _gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
     return Fraction(*_gen_ratio(rng, bound, nonzero))
 
 
+def _k(cfg: GenConfig, *trial: int) -> Fraction:
+    """The chart constant of a config, or of one of its trials.
+
+    Zero and fixed modes give their constant.  Random mode draws it from the
+    stream at ("k",) for the config and ("k", trial) for a trial, except that
+    trials 6 mod 8 are scheduled zero-k trials.
+    """
+    if cfg.k_mode == "fixed":
+        return cfg.k_fixed
+    if cfg.k_mode == "zero" or (trial and trial[0] % 8 == 6):
+        return Fraction(0)
+    return _gen_rational(_rng(cfg, "k", *trial), cfg.coefficient_bound)
+
+
 def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
-    if k is None:
-        if cfg.k_mode == "zero":
-            k = Fraction(0)
-        elif cfg.k_mode == "fixed":
-            k = cfg.k_fixed
-        else:
-            k = _gen_rational(_rng(cfg, "k"), cfg.coefficient_bound)
-    return Chart(_chart_names(cfg.dimension), k)
+    return Chart(_chart_names(cfg.dimension), _k(cfg) if k is None else k)
 
 
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
+    bits = rng.getrandbits
     n = chart.dim
     terms = []
-    for _ in range(rng.randint(1, cfg.max_terms)):
+    for _ in range(1 + _below(bits, cfg.max_terms)):
         exps = [0] * n
-        remaining = rng.randint(0, cfg.max_poly_degree)
+        remaining = _below(bits, cfg.max_poly_degree + 1)
         for i in range(n - 1):
-            e = rng.randint(0, remaining)
+            e = _below(bits, remaining + 1)
             exps[i] = e
             remaining -= e
         exps[n - 1] = remaining
-        rng.shuffle(exps)
+        for i in range(n - 1, 0, -1):  # rng.shuffle(exps)
+            j = _below(bits, i + 1)
+            exps[i], exps[j] = exps[j], exps[i]
         terms.append((tuple(exps), *_gen_ratio(rng, cfg.coefficient_bound, nonzero=True)))
     # integer numerators over the lcm of the drawn denominators
     den = lcm(*(d for _, _, d in terms))
@@ -458,15 +484,7 @@ def scheduled_degrees(dimension: int, trial: int, count: int,
 
 
 def _trial_chart(cfg: GenConfig, trial: int) -> Chart:
-    if cfg.k_mode == "zero":
-        k = Fraction(0)
-    elif cfg.k_mode == "fixed":
-        k = cfg.k_fixed
-    elif trial % 8 == 6:
-        k = Fraction(0)  # scheduled zero-k trial
-    else:
-        k = _gen_rational(_rng(cfg, "k", trial), cfg.coefficient_bound)
-    return Chart(_chart_names(cfg.dimension), k)
+    return Chart(_chart_names(cfg.dimension), _k(cfg, trial))
 
 
 def _trial_env(ident: Identity, cfg: GenConfig, chart: Chart, trial: int) -> dict:

@@ -38,33 +38,42 @@ increasing d-indices, explicit ``-1*`` leading coefficients) chosen so that
 parsing, printing and re-parsing is the identity on parsed sessions.
 
 Diagnostics carry a position and one of the stable codes E_LEX, E_PARSE,
-E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of five limits is
-an E_PARSE error: expressions nest at most ``MAX_NESTING`` levels deep
-(parentheses, pair brackets and operation calls each open a level), which
-keeps the recursive-descent parser within Python's recursion limit; ``^``
-takes exponents up to ``MAX_EXPONENT``; an integer literal (numerator,
-denominator or the chart's ``k``) has at most ``MAX_LITERAL_DIGITS`` digits
-after its leading zeros, Python's default limit on converting a decimal
-string to an ``int``; a product of two scalars, by ``*``, ``smul`` or a
-squaring step of ``^``, may take at most ``MAX_PRODUCT_TERMS`` term
-products (terms of one operand times terms of the other), checked before it
-is computed and reported at its ``*``, operation name or ``^``; and every
-coefficient of a definition's value must print with at most
-``MAX_LITERAL_DIGITS`` digits in its numerator and its denominator, reported
-at the definition's name, so that every value that parses can be printed.
-Operation calls (``wedge``, ``L``, ``comm``, ...) have no product limit.
+E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of these limits
+is an E_PARSE error:
+
+- expressions nest at most ``MAX_NESTING`` levels deep (parentheses, pair
+  brackets and operation calls each open a level), which keeps the
+  recursive-descent parser within Python's recursion limit;
+- ``^`` takes exponents up to ``MAX_EXPONENT``;
+- an integer literal (numerator, denominator or the chart's ``k``) has at
+  most ``MAX_LITERAL_DIGITS`` digits after its leading zeros, Python's
+  default limit on converting a decimal string to an ``int``;
+- a product, by ``*``, ``smul``, a step of ``^`` or one of the operations
+  ``wedge``, ``I``, ``L``, ``Lc``, ``Lv``, ``comm`` and ``scale``, may take
+  at most ``MAX_PRODUCT_TERMS`` term products (the terms of all
+  coefficients of one operand times those of the other), checked before it
+  is computed and reported at its ``*``, operation name or ``^``;
+- a step of ``^`` whose operands' largest integers (numerators or
+  denominator) together have more than ``_PRINTABLE_BITS + 1`` bits is
+  refused at the ``^`` before it is computed: for a one-term base its
+  result could not be printed;
+- every coefficient of a definition's value must print with at most
+  ``MAX_LITERAL_DIGITS`` digits in its numerator and its denominator, and
+  no exponent of it may exceed ``MAX_EXPONENT``, reported at the
+  definition's name, so that every value that parses can be printed and
+  read back.
 
 Parsing makes two passes.  The tokenizer runs one regular expression over
 the text, each match being the whitespace and comments before a token and
 the token itself.  The recursive-descent parser then builds every value
-once: a monomial term (``-3/4*x^2*y``: numbers and coordinates, each with
-optional ``^`` and unary minus, joined by ``*``) is read straight into an
-integer numerator, denominator and exponent vector, and a run of monomial
-terms joined by ``+`` and ``-`` becomes one polynomial, summed over the lcm
-of the denominators and canonicalised once.  Every other term, and every
-operand combined with one, goes through the general rules, which give the
-same values and the same diagnostics as if no term had been read as a
-monomial.
+once: a monomial term (``-3/4*x^2*y``: numbers and coordinates joined by
+``*``, each with optional unary minus, coordinates with optional ``^``) is
+read straight into an integer numerator, denominator and exponent vector,
+and a run of monomial terms joined by ``+`` and ``-`` becomes one
+polynomial, summed over the lcm of the denominators and canonicalised once.
+Every other term, and every operand combined with one, goes through the
+general rules, which give the same values and the same diagnostics as if no
+term had been read as a monomial.
 """
 
 from __future__ import annotations
@@ -72,7 +81,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
@@ -136,6 +147,23 @@ def _printable(f: ScalarField) -> bool:
         if abs(c) // g >= _UNPRINTABLE or den // g >= _UNPRINTABLE:
             return False
     return True
+
+
+_numerators = attrgetter("_num")  # a scalar field's {exponents: numerator} map
+
+
+def _term_count(value: Value) -> int:
+    """The terms of all coefficients of a value."""
+    if isinstance(value, ScalarField):
+        return len(value._num)
+    if isinstance(value, Form):
+        return sum(map(len, map(_numerators, value.components.values())))
+    return sum(map(len, map(_numerators, _scalars(value))))
+
+
+def _int_bits(f: ScalarField) -> int:
+    """The bit length of the largest integer of f, a numerator or its denominator."""
+    return max(f._den.bit_length(), max(map(int.bit_length, f._num.values()), default=0))
 
 
 def _as_form(value: ScalarField | Form) -> Form:
@@ -313,10 +341,16 @@ class _Parser:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
             self._expect("=", "'='")
             value = _collapse(self._expr())
-            if not all(map(_printable, _scalars(value))):
+            scalars = _scalars(value)
+            if not all(map(_printable, scalars)):
                 self._err(name_tok, "E_PARSE",
                           f"value of '{name}' has a coefficient of more than "
                           f"{MAX_LITERAL_DIGITS} digits")
+            # every exponent of every monomial, flattened so that no call runs per monomial
+            exponents = chain.from_iterable(chain.from_iterable(map(_numerators, scalars)))
+            if max(exponents, default=0) > MAX_EXPONENT:
+                self._err(name_tok, "E_PARSE",
+                          f"value of '{name}' has an exponent above {MAX_EXPONENT}")
             self.definitions[name] = value
         return Session(self.chart, self.definitions)
 
@@ -427,12 +461,13 @@ class _Parser:
         return value
 
     def _monomial(self) -> tuple[int, int, tuple[int, ...]] | None:
-        """Read the run ``-* (INT ("/" INT)? | COORD) ("^" INT)*`` joined by ``*``.
+        """Read the run ``-* (INT ("/" INT)? | COORD ("^" INT)*)`` joined by ``*``.
 
         Returns (numerator, denominator, exponents) and stops before the first
-        ``*`` whose factor starts any other way, so ``_term`` reads that factor
-        generically; returns None, having read nothing, when the first factor
-        does.  Tokens are checked in the order ``_factor`` checks them.
+        ``*`` whose factor is anything else, a number raised by ``^``
+        included, so ``_term`` reads that factor generically and ``_power``
+        bounds it; returns None, having read nothing, when the first factor
+        is.  Tokens are checked in the order ``_factor`` checks them.
         """
         tokens = self.tokens
         num, den, negative = 1, 1, False
@@ -447,22 +482,27 @@ class _Parser:
                 self.pos = pos + 1
                 base_num, base_den = self._ratio(tok)
                 coord = None
+                if tokens[self.pos].kind == "^":
+                    tok = None
             elif tok.kind == "ident" and tok.text in self.coords:
                 self.pos = pos + 1
                 coord = self.coords[tok.text]
-            elif start == begin:
-                return None
             else:
+                tok = None
+            if tok is None:
+                if start == begin:
+                    self.pos = begin
+                    return None
                 self.pos = start - 1  # back to the "*" before this factor
                 break
-            power = 1
-            while tokens[self.pos].kind == "^":
-                self.pos += 1
-                power *= self._exponent()
             if coord is None:
-                num *= base_num ** power
-                den *= base_den ** power
+                num *= base_num
+                den *= base_den
             else:
+                power = 1
+                while tokens[self.pos].kind == "^":
+                    self.pos += 1
+                    power *= self._exponent()
                 exps[coord] += power
             negative ^= (pos - start) & 1
             if tokens[self.pos].kind != "*":
@@ -515,19 +555,31 @@ class _Parser:
         out = None
         while True:
             if exponent & 1:
-                out = base if out is None else self._product(out, base, caret)
+                out = base if out is None else self._power_step(out, base, caret)
             exponent >>= 1
             if not exponent:
                 return self.chart.constant(1) if out is None else out
-            base = self._product(base, base, caret)
+            base = self._power_step(base, base, caret)
 
-    def _product(self, a: ScalarField, b: ScalarField, tok: _Token) -> ScalarField:
-        """a * b, refused before any work when it needs too many term products."""
-        if len(a._num) * len(b._num) > MAX_PRODUCT_TERMS:
-            self._err(tok, "E_PARSE",
-                      f"product of a {len(a._num)}-term and a {len(b._num)}-term polynomial "
-                      f"exceeds {MAX_PRODUCT_TERMS} term products")
+    def _power_step(self, a: ScalarField, b: ScalarField, caret: _Token) -> ScalarField:
+        """a * b inside ``_power``, refused before any work when it is too large.
+
+        Integers of i and j bits multiply to at least 2 ** (i + j - 2), which
+        has more than MAX_LITERAL_DIGITS digits once i + j > _PRINTABLE_BITS + 1.
+        """
+        if _int_bits(a) + _int_bits(b) > _PRINTABLE_BITS + 1:
+            self._err(caret, "E_PARSE",
+                      f"'^' builds a coefficient of more than {MAX_LITERAL_DIGITS} digits")
+        self._check_product(a, b, caret)
         return a * b
+
+    def _check_product(self, a: Value, b: Value, tok: _Token) -> None:
+        """Refuse, before any work, a product that needs too many term products."""
+        m, n = _term_count(a), _term_count(b)
+        if m * n > MAX_PRODUCT_TERMS:
+            self._err(tok, "E_PARSE",
+                      f"product of a {m}-term and a {n}-term operand "
+                      f"exceeds {MAX_PRODUCT_TERMS} term products")
 
     def _atom(self) -> Value:
         tok = self._next()
@@ -626,6 +678,8 @@ class _Parser:
         if len(args) != arity:
             self._err(name_tok, "E_PARSE",
                       f"{name_tok.text} takes {arity} arguments, got {len(args)}")
+        if name_tok.text in _PRODUCT_OPS:
+            self._check_product(*args, name_tok)
         try:
             return _collapse(impl(self, args, name_tok))
         except DegreeError as exc:
@@ -647,8 +701,10 @@ class _Parser:
 
     def _mul(self, a: Value, b: Value, tok: _Token) -> Value:
         if isinstance(a, ScalarField):
-            return self._product(a, b, tok) if isinstance(b, ScalarField) else b.__rmul__(a)
+            self._check_product(a, b, tok)
+            return a * b if isinstance(b, ScalarField) else b.__rmul__(a)
         if isinstance(b, ScalarField):
+            self._check_product(a, b, tok)
             return a.__rmul__(b)
         self._err(tok, "E_TYPE",
                   f"'*' scales by scalars only; cannot multiply {_kind(a)} and {_kind(b)} "
@@ -738,6 +794,9 @@ def _op_smul(p: _Parser, args, tok) -> Value:
         p._err(tok, "E_TYPE", f"smul needs an ordinary scalar first, got {_kind(mu)}")
     return p._mul(mu, a, tok)
 
+
+# The operations that multiply coefficients of their two operands.
+_PRODUCT_OPS = frozenset(("wedge", "I", "L", "Lc", "Lv", "comm", "scale"))
 
 _OPS = {
     "wedge": (2, _op_wedge),

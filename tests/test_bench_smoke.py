@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["check_d2", "session_rt"])
+@pytest.mark.parametrize("workload", ["check_d2", "check_d4", "session_rt"])
 def test_benchmark_smoke_run_is_correct(workload):
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--smoke"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)

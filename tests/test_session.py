@@ -369,3 +369,75 @@ def test_printable_check_reads_coefficients_in_lowest_terms():
     session = parse_session(text)
     assert session.definitions["a"]._den > 10 ** MAX_LITERAL_DIGITS
     _round_trip(text)
+
+
+def test_product_term_limit_applies_to_operation_calls():
+    # f has 455 terms, so each session below needs 455 * 455 = 207025 term products
+    head = "chart x, y, z\nf = (1+x+y+z)^12\n"
+    for body, col in [("g = wedge(f, f)", 5), ("g = f*(f*dx)", 6), ("g = smul(f, f*dx)", 5)]:
+        with pytest.raises(ParseError) as info:
+            parse_session(head + body)
+        assert info.value.code == "E_PARSE"
+        assert (info.value.line, info.value.col) == (3, col)
+        assert "term products" in info.value.message
+
+
+@pytest.mark.parametrize("call,products", [
+    ("wedge(a, b)", 6), ("I(V, b)", 8), ("L(V, b)", 8), ("Lc(V, b)", 8), ("Lv(V, W)", 8),
+    ("comm(V, W)", 8), ("scale(c, W)", 6), ("wedge(f, al)", 9), ("I(v, al)", 9),
+    ("L(v, al)", 9), ("L(v, f)", 9), ("comm(v, v)", 9), ("smul(f, al)", 9),
+])
+def test_operation_product_limit_counts_all_coefficient_terms(call, products, monkeypatch):
+    # operand terms: f, al, v, a, c 3 each; b 2; V 4 (3 + 1); W 2 (1 + 0 + 1)
+    text = ("chart x, y\nf = 1 + x + y\nal = (1 + x)*dx + y*dy\nv = x*@x + (1 + y)*@y\n"
+            "a = [1 + x ; y*dx]\nb = [x*dy ; dx^dy]\nc = [1 + y ; x*dy]\n"
+            "V = {v ; x}\nW = {y*@x ; 1}\ng = " + call)
+    expected = parse_session(text).definitions["g"]
+    monkeypatch.setattr(session_module, "MAX_PRODUCT_TERMS", products)
+    assert parse_session(text).definitions["g"] == expected
+    monkeypatch.setattr(session_module, "MAX_PRODUCT_TERMS", products - 1)
+    with pytest.raises(ParseError) as info:
+        parse_session(text)
+    assert info.value.code == "E_PARSE"
+    assert (info.value.line, info.value.col) == (10, 5)
+    assert "term products" in info.value.message
+
+
+def test_power_chain_is_refused_before_its_integers_pass_the_printable_size(monkeypatch):
+    widest = []
+    original = ScalarField.__mul__
+
+    def recording_mul(self, other):
+        widest.append(max(map(int.bit_length, [self._den, other._den,
+                                               *self._num.values(), *other._num.values()])))
+        return original(self, other)
+
+    monkeypatch.setattr(ScalarField, "__mul__", recording_mul)
+    for text, col in [("a = 2^1000^1000", 11), ("a = (2)^1000^1000", 13),
+                      ("a = x*-1/3^1000^1000", 16), ("a = (2^1000)^15", 13)]:
+        with pytest.raises(ParseError) as info:
+            parse_session("chart x\n" + text)
+        assert info.value.code == "E_PARSE"
+        assert (info.value.line, info.value.col) == (2, col), text
+        assert f"coefficient of more than {MAX_LITERAL_DIGITS} digits" in info.value.message
+    assert max(widest) <= 8001  # the squaring to 2^16000 was never run
+    # a power that prints is still computed: 2^14000 has 4215 digits
+    session = parse_session("chart x\na = (2^1000)^14*x\nb = -2^3*x^2^2 + (1/2)^1000")
+    x = session.chart.coordinate(0)
+    assert session.definitions["a"] == 2 ** 14000 * x
+    assert session.definitions["b"] == -8 * x * x * x * x + Fraction(1, 2 ** 1000)
+
+
+def test_value_with_an_exponent_above_the_limit_is_refused_at_its_name():
+    session = parse_session(f"chart x, y\na = x^{MAX_EXPONENT - 1}*x\nb = d(y^{MAX_EXPONENT})")
+    assert str(session.definitions["a"]) == f"x^{MAX_EXPONENT}"
+    assert parse_session(render_session(session.chart, session.definitions)).definitions \
+        == session.definitions
+    for text in [f"a = x^{MAX_EXPONENT}*x", f"a = x^{MAX_EXPONENT}*y*x",
+                 f"a = (1 + x)^2*x^{MAX_EXPONENT - 1}", f"a = x^{MAX_EXPONENT}^{MAX_EXPONENT}",
+                 f"f = x^{MAX_EXPONENT}\na = wedge(f*dx, x*dy)"]:
+        with pytest.raises(ParseError) as info:
+            parse_session("chart x, y\n" + text)
+        assert info.value.code == "E_PARSE"
+        assert (info.value.line, info.value.col) == (text.count("\n") + 2, 1), text
+        assert f"exponent above {MAX_EXPONENT}" in info.value.message

@@ -47,7 +47,7 @@ def test_golden_diagnostics_cover_the_listed_cases():
 # -- differential test against the reference parser ---------------------------
 
 # Limits the reference does not have; inputs that reach them are outside its domain.
-_NEW_LIMITS = ("term products", "coefficient of more than")
+_NEW_LIMITS = ("term products", "coefficient of more than", "exponent above")
 
 
 def _outcome(parse, text):
