@@ -14,6 +14,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="genform",
         description="exact calculus of pair-valued differential forms")
@@ -48,9 +51,12 @@ def main(argv=None) -> int:
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--k", default="random")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -24,10 +24,14 @@ private accumulators ``_wedge_into``, ``_contract_into``, ``_scale_into``,
 ``_lie_into`` and ``_apply_into`` append the (sign, a, b) products of one
 operation to a map from output index tuple to products (a list for scalar
 results), so a sum of several operations, as the pair calculus needs, is
-still one kernel call per coefficient.  The public constructors
-``Form(...)`` and ``Form.from_terms`` check keys, degrees and charts;
-results of the operations here go through the private trusted constructor
-``_trusted_form``, which only drops zero coefficients.
+still one kernel call per coefficient.
+
+``Form`` and ``VectorField`` are slotted frozen dataclasses.  The public
+constructors ``Form(...)``, ``Form.from_terms`` and ``VectorField(...)``
+check keys, degrees, lengths and charts.  Results of the operations here go
+through one private trusted constructor per type, ``_trusted_form`` (which
+only drops zero coefficients) and ``_trusted_vector``, which fill the slots
+through their descriptors' cached setters.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .scalars import (
     Chart,
     ScalarField,
     _require_same_chart,
+    _sealed,
     _sum_products,
     coefficient_block,
     join_signed,
@@ -66,7 +71,8 @@ def _normalize_key(key: Key) -> tuple[Key | None, int]:
     return tuple(items), sign
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_sealed
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Form:
     """An antisymmetric p-form with exact polynomial coefficients."""
 
@@ -92,7 +98,7 @@ class Form:
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"key {key} is not strictly increasing")
             clean[key] = poly
-        object.__setattr__(self, "components", clean)
+        _set_form_components(self, clean)
 
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarField]]) -> "Form":
@@ -101,7 +107,7 @@ class Form:
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "Form":
-        return cls(chart, degree, {})
+        return _trusted_form(chart, degree, {})
 
     @classmethod
     def from_scalar(cls, f: ScalarField) -> "Form":
@@ -195,7 +201,8 @@ class Form:
     __repr__ = __str__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_sealed
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class VectorField:
     """An ordinary vector field: one scalar component per coordinate."""
 
@@ -211,12 +218,11 @@ class VectorField:
         for c in comps:
             if c.chart is not self.chart and c.chart != self.chart:
                 raise ChartMismatchError("vector component lives on a different chart")
-        object.__setattr__(self, "components", comps)
+        _set_vector_components(self, comps)
 
     @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
-        z = chart.constant(0)
-        return cls(chart, (z,) * chart.dim)
+        return _trusted_vector(chart, (chart.constant(0),) * chart.dim)
 
     @property
     def is_zero(self) -> bool:
@@ -236,11 +242,11 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         _require_same_chart(self.chart, other.chart)
-        return VectorField(self.chart,
-                           tuple(a + b for a, b in zip(self.components, other.components)))
+        return _trusted_vector(self.chart,
+                               tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return _trusted_vector(self.chart, tuple(-c for c in self.components))
 
     def __sub__(self, other):
         if not isinstance(other, VectorField):
@@ -252,7 +258,7 @@ class VectorField:
             return NotImplemented
         if isinstance(factor, ScalarField):
             _require_same_chart(self.chart, factor.chart)
-        return VectorField(self.chart, tuple(factor * c for c in self.components))
+        return _trusted_vector(self.chart, tuple(factor * c for c in self.components))
 
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
@@ -295,17 +301,39 @@ class VectorField:
     __repr__ = __str__
 
 
+# ---------------------------------------------------------------------------
+# Trusted constructors.  Internal results skip the public checks and fill the
+# slots through their descriptors' cached ``__set__`` (see ``scalars``).
+
+_set_form_chart = Form.chart.__set__
+_set_degree = Form.degree.__set__
+_set_form_components = Form.components.__set__
+_set_vector_chart = VectorField.chart.__set__
+_set_vector_components = VectorField.components.__set__
+
+
 def _trusted_form(chart: Chart, degree: int, components: Mapping[Key, ScalarField]) -> Form:
-    """The trusted constructor of internal results: drops zeros, checks nothing else.
+    """The trusted constructor of internal forms: drops zeros, checks nothing else.
 
     ``components`` must have strictly increasing keys of length ``degree``
     with indices in range and coefficients on ``chart``.
     """
     f = object.__new__(Form)
-    object.__setattr__(f, "chart", chart)
-    object.__setattr__(f, "degree", degree)
-    object.__setattr__(f, "components", {k: p for k, p in components.items() if p})
+    _set_form_chart(f, chart)
+    _set_degree(f, degree)
+    _set_form_components(f, {k: p for k, p in components.items() if p})
     return f
+
+
+def _trusted_vector(chart: Chart, components: tuple[ScalarField, ...]) -> VectorField:
+    """The trusted constructor of internal vector fields: checks nothing.
+
+    ``components`` must be a tuple of ``chart.dim`` scalars on ``chart``.
+    """
+    v = object.__new__(VectorField)
+    _set_vector_chart(v, chart)
+    _set_vector_components(v, components)
+    return v
 
 
 def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
@@ -316,7 +344,7 @@ def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
 
 def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:
     """The vector field whose component i is the kernel's sum of ``rows[i]``."""
-    return VectorField(chart, tuple(_sum_products(chart, triples) for triples in rows))
+    return _trusted_vector(chart, tuple(_sum_products(chart, triples) for triples in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ multiply it by their integer degree factor.  The ordinary Lie derivative
 L_{v1} uses the coordinate formula, while lie_cartan stays the literal
 composition I_V d + d I_V, so the identities relating the two compare
 independent computations.
+
+Both pair types are slotted frozen dataclasses.  ``GeneralizedForm(...)``
+and ``GeneralizedVector(...)`` check charts and degrees; every operation
+result goes through one private trusted constructor per type,
+``_trusted_pair`` (which keeps the clamp of out-of-range zero pairs) and
+``_trusted_gvector``, which check nothing.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Chart, ScalarField, _require_same_chart, _sum_products
+from .scalars import Chart, ScalarField, _require_same_chart, _sealed, _sum_products
 from .forms import (
     Form,
     Groups,
@@ -61,6 +67,7 @@ from .forms import (
     _fused_vector,
     _lie_into,
     _scale_into,
+    _trusted_form,
     _wedge_into,
 )
 
@@ -69,7 +76,8 @@ def _sign(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_sealed
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class GeneralizedForm:
     """An ordered pair of an ordinary p-form and an ordinary (p+1)-form."""
 
@@ -84,13 +92,11 @@ class GeneralizedForm:
                 f"companion degree {self.companion.degree} does not follow "
                 f"ordinary degree {self.ordinary.degree}"
             )
-        n = self.ordinary.chart.dim
         p = self.ordinary.degree
-        if p < -1 or p > n:
-            # only reachable with both parts zero; retag into the legal range
-            clamped = max(-1, min(n, p))
-            object.__setattr__(self, "ordinary", Form.zero(self.chart, clamped))
-            object.__setattr__(self, "companion", Form.zero(self.chart, clamped + 1))
+        if p < -1 or p > self.ordinary.chart.dim:
+            clamped = _trusted_pair(self.ordinary, self.companion)
+            _set_ordinary(self, clamped.ordinary)
+            _set_companion(self, clamped.companion)
 
     @property
     def chart(self) -> Chart:
@@ -102,12 +108,12 @@ class GeneralizedForm:
 
     @classmethod
     def zero(cls, chart: Chart, degree: int = 0) -> "GeneralizedForm":
-        return cls(Form.zero(chart, degree), Form.zero(chart, degree + 1))
+        return _trusted_pair(Form.zero(chart, degree), Form.zero(chart, degree + 1))
 
     @classmethod
     def from_form(cls, a: Form) -> "GeneralizedForm":
         """Embed an ordinary form as the pair (a, 0)."""
-        return cls(a, Form.zero(a.chart, a.degree + 1))
+        return _trusted_pair(a, Form.zero(a.chart, a.degree + 1))
 
     @property
     def is_zero(self) -> bool:
@@ -139,11 +145,11 @@ class GeneralizedForm:
             return self
         if self.degree != other.degree:
             raise DegreeError(f"cannot add pairs of degree {self.degree} and {other.degree}")
-        return GeneralizedForm(self.ordinary + other.ordinary,
-                               self.companion + other.companion)
+        return _trusted_pair(self.ordinary + other.ordinary,
+                             self.companion + other.companion)
 
     def __neg__(self):
-        return GeneralizedForm(-self.ordinary, -self.companion)
+        return _trusted_pair(-self.ordinary, -self.companion)
 
     def __sub__(self, other):
         if not isinstance(other, GeneralizedForm):
@@ -154,7 +160,7 @@ class GeneralizedForm:
         # ordinary scalar multiplication: both slots scale
         if not isinstance(factor, (ScalarField, Fraction, int)):
             return NotImplemented
-        return GeneralizedForm(factor * self.ordinary, factor * self.companion)
+        return _trusted_pair(factor * self.ordinary, factor * self.companion)
 
     def wedge(self, other: "GeneralizedForm") -> "GeneralizedForm":
         _require_same_chart(self.chart, other.chart)
@@ -162,14 +168,14 @@ class GeneralizedForm:
         groups: Groups = {}
         _wedge_into(groups, self.ordinary, other.companion)
         _wedge_into(groups, self.companion, other.ordinary, _sign(q))
-        return GeneralizedForm(self.ordinary.wedge(other.ordinary),
-                               _fused_form(self.chart, self.degree + q + 1, groups))
+        return _trusted_pair(self.ordinary.wedge(other.ordinary),
+                             _fused_form(self.chart, self.degree + q + 1, groups))
 
     def d(self) -> "GeneralizedForm":
         k = self.chart.k
         p = self.degree
         ordinary = self.ordinary.d() + (_sign(p + 1) * k) * self.companion
-        return GeneralizedForm(ordinary, self.companion.d())
+        return _trusted_pair(ordinary, self.companion.d())
 
     def __str__(self) -> str:
         return f"[{self.ordinary} ; {self.companion}]"
@@ -177,7 +183,8 @@ class GeneralizedForm:
     __repr__ = __str__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@_sealed
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class GeneralizedVector:
     """An ordered pair of an ordinary vector field and an ordinary scalar field."""
 
@@ -194,12 +201,12 @@ class GeneralizedVector:
 
     @classmethod
     def zero(cls, chart: Chart) -> "GeneralizedVector":
-        return cls(VectorField.zero(chart), chart.constant(0))
+        return _trusted_gvector(VectorField.zero(chart), chart.constant(0))
 
     @classmethod
     def from_vector(cls, v: VectorField) -> "GeneralizedVector":
         """Embed an ordinary vector field as the pair (v, 0)."""
-        return cls(v, v.chart.constant(0))
+        return _trusted_gvector(v, v.chart.constant(0))
 
     @property
     def is_zero(self) -> bool:
@@ -218,10 +225,10 @@ class GeneralizedVector:
     def __add__(self, other):
         if not isinstance(other, GeneralizedVector):
             return NotImplemented
-        return GeneralizedVector(self.v1 + other.v1, self.v0 + other.v0)
+        return _trusted_gvector(self.v1 + other.v1, self.v0 + other.v0)
 
     def __neg__(self):
-        return GeneralizedVector(-self.v1, -self.v0)
+        return _trusted_gvector(-self.v1, -self.v0)
 
     def __sub__(self, other):
         if not isinstance(other, GeneralizedVector):
@@ -232,7 +239,7 @@ class GeneralizedVector:
         # linear only under ordinary scalars; zero-form scaling is scaled_by
         if not isinstance(factor, (ScalarField, Fraction, int)):
             return NotImplemented
-        return GeneralizedVector(factor * self.v1, factor * self.v0)
+        return _trusted_gvector(factor * self.v1, factor * self.v0)
 
     def scaled_by(self, a0: GeneralizedForm) -> "GeneralizedVector":
         """Scale by a generalized zero-form: a0 V = (a0_0 v1, a0_0 v0 + i_{v1} a0_1)."""
@@ -242,7 +249,7 @@ class GeneralizedVector:
         alpha0 = a0.ordinary.scalar_part()
         groups: Groups = {(): [(1, alpha0, self.v0)]}
         _contract_into(groups, self.v1, a0.companion)
-        return GeneralizedVector(alpha0 * self.v1, _sum_products(self.chart, groups[()]))
+        return _trusted_gvector(alpha0 * self.v1, _sum_products(self.chart, groups[()]))
 
     def contract(self, a: GeneralizedForm) -> GeneralizedForm:
         """Interior product I_V; the explicit degree factor kills the v0 term at p = 0."""
@@ -252,8 +259,8 @@ class GeneralizedVector:
         _contract_into(groups, self.v1, a.companion)
         if p and self.v0:
             _scale_into(groups, self.v0, a.ordinary, p * _sign(p - 1))
-        return GeneralizedForm(self.v1.contract(a.ordinary),
-                               _fused_form(self.chart, p, groups))
+        return _trusted_pair(self.v1.contract(a.ordinary),
+                             _fused_form(self.chart, p, groups))
 
     def lie_cartan(self, a: GeneralizedForm) -> GeneralizedForm:
         """Uncorrected Lie derivative from the homotopy formula I_V d + d I_V."""
@@ -280,18 +287,18 @@ class GeneralizedVector:
                     _scale_into(ordinary, kv0, target.ordinary, -p)
                 if p + 1:
                     _scale_into(companion, kv0, target.companion, -(p + 1))
-            return GeneralizedForm(_fused_form(self.chart, p, ordinary),
-                                   _fused_form(self.chart, p + 1, companion))
+            return _trusted_pair(_fused_form(self.chart, p, ordinary),
+                                 _fused_form(self.chart, p + 1, companion))
         if isinstance(target, GeneralizedVector):
             _require_same_chart(self.chart, target.chart)
-            return GeneralizedVector(_deformed_bracket(self, target),
-                                     self.v1.apply(target.v0))
+            return _trusted_gvector(_deformed_bracket(self, target),
+                                    self.v1.apply(target.v0))
         raise TypeError(f"cannot take a Lie derivative of {type(target).__name__}")
 
     def commutator(self, other: "GeneralizedVector") -> "GeneralizedVector":
         """Antisymmetric, k-independent bracket ([v1, w1], L_{v1} w0 - L_{w1} v0)."""
         _require_same_chart(self.chart, other.chart)
-        return GeneralizedVector(self.v1.bracket(other.v1), _cross_scalar(self, other))
+        return _trusted_gvector(self.v1.bracket(other.v1), _cross_scalar(self, other))
 
     def __str__(self) -> str:
         return f"{{{self.v1} ; {self.v0}}}"
@@ -310,10 +317,46 @@ def cartan_residual(V: GeneralizedVector, W: GeneralizedVector,
     """
     _require_same_chart(V.chart, W.chart)
     _require_same_chart(V.chart, a.chart)
-    cross = GeneralizedVector(_deformed_bracket(V, W), _cross_scalar(V, W))
+    cross = _trusted_gvector(_deformed_bracket(V, W), _cross_scalar(V, W))
     return (V.lie_cartan(W.contract(a))
             - W.contract(V.lie_cartan(a))
             - cross.contract(a))
+
+
+# ---------------------------------------------------------------------------
+# Trusted constructors of internal results, on cached slot setters like those
+# of ``forms``: they check neither charts nor degrees.
+
+_set_ordinary = GeneralizedForm.ordinary.__set__
+_set_companion = GeneralizedForm.companion.__set__
+_set_v1 = GeneralizedVector.v1.__set__
+_set_v0 = GeneralizedVector.v0.__set__
+
+
+def _trusted_pair(ordinary: Form, companion: Form) -> GeneralizedForm:
+    """The pair (ordinary, companion); the companion's degree must follow.
+
+    A pair degree outside [-1, n] only arises when both parts are zero, and
+    is clamped back into range.
+    """
+    p = ordinary.degree
+    chart = ordinary.chart
+    if p < -1 or p > chart.dim:
+        p = max(-1, min(chart.dim, p))
+        ordinary = _trusted_form(chart, p, {})
+        companion = _trusted_form(chart, p + 1, {})
+    a = object.__new__(GeneralizedForm)
+    _set_ordinary(a, ordinary)
+    _set_companion(a, companion)
+    return a
+
+
+def _trusted_gvector(v1: VectorField, v0: ScalarField) -> GeneralizedVector:
+    """The pair vector (v1, v0); both must live on one chart."""
+    V = object.__new__(GeneralizedVector)
+    _set_v1(V, v1)
+    _set_v0(V, v0)
+    return V
 
 
 def _deformed_bracket(V: GeneralizedVector, W: GeneralizedVector) -> VectorField:

@@ -45,11 +45,20 @@ from math import lcm
 from typing import Callable
 
 from .errors import DegreeError, UnknownIdentityError
-from .forms import Form, VectorField, coordinate_vectors, one_forms
+from .forms import (
+    Form,
+    VectorField,
+    _trusted_form,
+    _trusted_vector,
+    coordinate_vectors,
+    one_forms,
+)
 from .generalized import (
     GeneralizedForm,
     GeneralizedVector,
     _sign,
+    _trusted_gvector,
+    _trusted_pair,
     cartan_residual,
 )
 from .scalars import Chart, ScalarField, _from_ints, rational_str
@@ -123,7 +132,8 @@ def _position(pos) -> tuple:
 # ---------------------------------------------------------------------------
 # Generators.  The public gen_* functions derive their stream from
 # (seed, position); the _-prefixed worker variants share an rng so one trial
-# can draw several objects.
+# can draw several objects, and build their values with the trusted
+# constructors, since every draw is in range.
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -141,18 +151,11 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _gen_ratio(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[int, int]:
-    """A random rational as (numerator, positive denominator), not reduced."""
+def _gen_rational(rng: random.Random, bound: int) -> Fraction:
+    """A random rational num/den with |num| <= bound and 1 <= den <= bound."""
     bits = rng.getrandbits
-    if nonzero:
-        num = (1 + _below(bits, bound)) * (-1, 1)[_below(bits, 2)]
-    else:
-        num = _below(bits, 2 * bound + 1) - bound
-    return num, 1 + _below(bits, bound)
-
-
-def _gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
-    return Fraction(*_gen_ratio(rng, bound, nonzero))
+    num = _below(bits, 2 * bound + 1) - bound
+    return Fraction(num, 1 + _below(bits, bound))
 
 
 def _k(cfg: GenConfig, *trial: int) -> Fraction:
@@ -174,54 +177,84 @@ def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
 
 
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
+    """A random polynomial, every uniform draw written out inline.
+
+    Each ``while r >= m`` loop below is one ``_below(bits, m)``, with
+    ``m.bit_length()`` bits per draw.  In order: the term count, then per
+    term the total degree, its split over the coordinates, the shuffle of
+    the exponents (as ``rng.shuffle``), and a nonzero coefficient: the
+    numerator's magnitude, its sign (``_below(bits, 2)``, two bits a draw)
+    and the denominator.
+    """
     bits = rng.getrandbits
     n = chart.dim
-    terms = []
-    for _ in range(1 + _below(bits, cfg.max_terms)):
+    terms, degrees, bound = cfg.max_terms, cfg.max_poly_degree + 1, cfg.coefficient_bound
+    terms_bits, degree_bits, bound_bits = (
+        terms.bit_length(), degrees.bit_length(), bound.bit_length())
+    count = bits(terms_bits)
+    while count >= terms:
+        count = bits(terms_bits)
+    drawn = []
+    for _ in range(count + 1):
         exps = [0] * n
-        remaining = _below(bits, cfg.max_poly_degree + 1)
+        remaining = bits(degree_bits)
+        while remaining >= degrees:
+            remaining = bits(degree_bits)
         for i in range(n - 1):
-            e = _below(bits, remaining + 1)
+            m = remaining + 1
+            k = m.bit_length()
+            e = bits(k)
+            while e >= m:
+                e = bits(k)
             exps[i] = e
             remaining -= e
         exps[n - 1] = remaining
-        for i in range(n - 1, 0, -1):  # rng.shuffle(exps)
-            j = _below(bits, i + 1)
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = bits(k)
+            while j > i:
+                j = bits(k)
             exps[i], exps[j] = exps[j], exps[i]
-        terms.append((tuple(exps), *_gen_ratio(rng, cfg.coefficient_bound, nonzero=True)))
+        c = bits(bound_bits)
+        while c >= bound:
+            c = bits(bound_bits)
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        d = bits(bound_bits)
+        while d >= bound:
+            d = bits(bound_bits)
+        drawn.append((tuple(exps), c + 1 if sign else -1 - c, d + 1))
     # integer numerators over the lcm of the drawn denominators
-    den = lcm(*(d for _, _, d in terms))
+    den = lcm(*[d for _, _, d in drawn])
     num: dict[tuple[int, ...], int] = {}
-    for exps, c, d in terms:
+    for exps, c, d in drawn:
         num[exps] = num.get(exps, 0) + c * (den // d)
     return _from_ints(chart, {e: c for e, c in num.items() if c}, den)
 
 
 def _form(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> Form:
-    if not 0 <= degree <= chart.dim:
-        return Form.zero(chart, degree)
     components = {}
-    for key in itertools.combinations(range(chart.dim), degree):
-        if rng.random() < 0.85:
-            poly = _scalar(rng, cfg, chart)
-            if poly:
-                components[key] = poly
-    return Form(chart, degree, components)
+    if 0 <= degree <= chart.dim:
+        for key in itertools.combinations(range(chart.dim), degree):
+            if rng.random() < 0.85:
+                components[key] = _scalar(rng, cfg, chart)
+    return _trusted_form(chart, degree, components)
 
 
 def _gform(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> GeneralizedForm:
-    return GeneralizedForm(_form(rng, cfg, chart, degree),
-                           _form(rng, cfg, chart, degree + 1))
+    return _trusted_pair(_form(rng, cfg, chart, degree),
+                         _form(rng, cfg, chart, degree + 1))
 
 
 def _vector(rng: random.Random, cfg: GenConfig, chart: Chart) -> VectorField:
     comps = tuple(_scalar(rng, cfg, chart) if rng.random() < 0.85 else chart.constant(0)
                   for _ in range(chart.dim))
-    return VectorField(chart, comps)
+    return _trusted_vector(chart, comps)
 
 
 def _gvector(rng: random.Random, cfg: GenConfig, chart: Chart) -> GeneralizedVector:
-    return GeneralizedVector(_vector(rng, cfg, chart), _scalar(rng, cfg, chart))
+    return _trusted_gvector(_vector(rng, cfg, chart), _scalar(rng, cfg, chart))
 
 
 def gen_scalar(cfg: GenConfig, position, chart: Chart | None = None) -> ScalarField:
@@ -491,41 +524,36 @@ def _trial_env(ident: Identity, cfg: GenConfig, chart: Chart, trial: int) -> dic
     if ident.name == "P10" and trial == 1 and chart.dim >= 2:
         return residual_witness(chart)
     form_count = sum(1 for _, kind in ident.slots if kind in ("gform", "form"))
+    # only a third form slot draws its degree from the stream
     degrees = iter(scheduled_degrees(chart.dim, trial, form_count,
-                                     _rng(cfg, "deg", trial)))
+                                     _rng(cfg, "deg", trial) if form_count > 2 else None))
     force_zero_form = trial % 8 == 3
     force_zero_vector = trial % 8 == 5
     env = {}
     for index, (name, kind) in enumerate(ident.slots):
+        if kind in ("gform", "form"):
+            degree = next(degrees)
+            if force_zero_form:  # a forced zero draws nothing
+                env[name] = (GeneralizedForm.zero(chart, degree) if kind == "gform"
+                             else Form.zero(chart, degree))
+                force_zero_form = False
+                continue
+        elif kind in ("gvector", "vector") and force_zero_vector:
+            env[name] = (GeneralizedVector.zero(chart) if kind == "gvector"
+                         else VectorField.zero(chart))
+            force_zero_vector = False
+            continue
         rng = _rng(cfg, "slot", trial, index)
         if kind == "gform":
-            degree = next(degrees)
-            if force_zero_form:
-                env[name] = GeneralizedForm.zero(chart, degree)
-                force_zero_form = False
-            else:
-                env[name] = _gform(rng, cfg, chart, degree)
+            env[name] = _gform(rng, cfg, chart, degree)
         elif kind == "gform0":
             env[name] = _gform(rng, cfg, chart, 0)
         elif kind == "form":
-            degree = next(degrees)
-            if force_zero_form:
-                env[name] = Form.zero(chart, degree)
-                force_zero_form = False
-            else:
-                env[name] = _form(rng, cfg, chart, degree)
+            env[name] = _form(rng, cfg, chart, degree)
         elif kind == "gvector":
-            if force_zero_vector:
-                env[name] = GeneralizedVector.zero(chart)
-                force_zero_vector = False
-            else:
-                env[name] = _gvector(rng, cfg, chart)
+            env[name] = _gvector(rng, cfg, chart)
         elif kind == "vector":
-            if force_zero_vector:
-                env[name] = VectorField.zero(chart)
-                force_zero_vector = False
-            else:
-                env[name] = _vector(rng, cfg, chart)
+            env[name] = _vector(rng, cfg, chart)
         elif kind == "scalar":
             env[name] = _scalar(rng, cfg, chart)
         elif kind == "const":

@@ -20,7 +20,10 @@ denominators (FLINT's "addmul into one accumulator") and canonicalises once,
 so no intermediate polynomial is built.  ``*`` shares its inner loop.
 
 Values are immutable after construction and every operation returns a new
-object, so scalar fields are safe to share between threads.
+object, so scalar fields are safe to share between threads.  Every
+arithmetic result is built by one trusted constructor, ``_from_ints``, which
+fills the three slots through their descriptors' cached setters and checks
+nothing; ``ScalarField(chart, terms)`` checks and cleans its input.
 
 The chart also carries the deformation constant ``k`` used by the pair
 calculus built on top of this module; two charts are interchangeable only if
@@ -30,7 +33,7 @@ they agree on dimension, coordinate names and ``k``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -47,18 +50,16 @@ class Chart:
 
     names: tuple[str, ...]
     k: Fraction = Fraction(0)
+    dim: int = field(init=False, repr=False, compare=False)  # len(names), stored
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "k", Fraction(self.k))
+        object.__setattr__(self, "dim", len(self.names))
         if not self.names:
             raise ValueError("a chart needs at least one coordinate")
         if len(set(self.names)) != len(self.names):
             raise ValueError("coordinate names must be distinct")
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
 
     def constant(self, value: RationalLike) -> "ScalarField":
         c = value if isinstance(value, (int, Fraction)) else Fraction(value)
@@ -84,6 +85,28 @@ def _require_same_chart(a: Chart, b: Chart) -> None:
         )
 
 
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _sealed(cls):
+    """Make every assignment or deletion of an attribute of cls's instances raise.
+
+    ``dataclass(frozen=True, slots=True)`` does so itself only for the fields
+    on Python 3.11: it builds a new class to hold the slots, and its generated
+    ``__setattr__`` still refers to the old one, so any other name ends in a
+    ``TypeError`` rather than ``FrozenInstanceError``.
+    """
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+@_sealed
 class ScalarField:
     """A polynomial with rational coefficients over a chart's coordinates.
 
@@ -112,8 +135,9 @@ class ScalarField:
         # denominators, so no prime divides both ``den`` and all numerators:
         # the content is already one.
         den = lcm(*(c.denominator for c in clean.values()))
-        _set_state(self, chart,
-                   {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+        _set_chart(self, chart)
+        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        _set_den(self, den)
 
     @classmethod
     def from_terms(cls, chart: Chart, pairs: Iterable[tuple[Exponents, RationalLike]]) -> "ScalarField":
@@ -123,12 +147,6 @@ class ScalarField:
             exps = tuple(exps)
             acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coeff)
         return cls(chart, acc)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return ScalarField, (self.chart, dict(self.terms))
@@ -254,13 +272,13 @@ class _Terms(Mapping):
 
 # ---------------------------------------------------------------------------
 # Integer kernel.  Every arithmetic result is built by ``_from_ints`` from a
-# numerator map without zero entries and a positive denominator.
+# numerator map without zero entries and a positive denominator.  It fills
+# the slots through their descriptors' cached ``__set__``, which passes by the
+# frozen ``__setattr__`` at about half the cost of ``object.__setattr__``.
 
-
-def _set_state(f: ScalarField, chart: Chart, num: dict[Exponents, int], den: int) -> None:
-    object.__setattr__(f, "chart", chart)
-    object.__setattr__(f, "_num", num)
-    object.__setattr__(f, "_den", den)
+_set_chart = ScalarField.chart.__set__
+_set_num = ScalarField._num.__set__
+_set_den = ScalarField._den.__set__
 
 
 def _from_ints(chart: Chart, num: dict[Exponents, int], den: int) -> ScalarField:
@@ -271,7 +289,9 @@ def _from_ints(chart: Chart, num: dict[Exponents, int], den: int) -> ScalarField
             den //= g
             num = {e: c // g for e, c in num.items()}
     f = object.__new__(ScalarField)
-    _set_state(f, chart, num, den)
+    _set_chart(f, chart)
+    _set_num(f, num)
+    _set_den(f, den)
     return f
 
 

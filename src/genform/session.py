@@ -57,11 +57,23 @@ is an E_PARSE error:
   denominator) together have more than ``_PRINTABLE_BITS + 1`` bits is
   refused at the ``^`` before it is computed: for a one-term base its
   result could not be printed;
+- any product above whose operands' largest integers together have more
+  than ``_PRODUCT_BITS`` bits, twice the bound of a ``^`` step, is refused
+  at its ``*``, operation name or ``^`` before it is computed; the bound is
+  doubled because one operand may be an intermediate value too large to
+  print by itself;
 - every coefficient of a definition's value must print with at most
   ``MAX_LITERAL_DIGITS`` digits in its numerator and its denominator, and
   no exponent of it may exceed ``MAX_EXPONENT``, reported at the
   definition's name, so that every value that parses can be printed and
   read back.
+
+The limits on term products and on the integers of a product skip a factor
+of a single term whose coefficient is 1 or -1 times a monomial (``dx``,
+``dx^dy``, ``@x``, ``-x*dy``), which changes neither the term count nor the
+integers of the other operand.  An operation call is checked for the kinds
+of its operands before the product limits, so a call with operands of the
+wrong kinds is E_TYPE whatever their size.
 
 Parsing makes two passes.  The tokenizer runs one regular expression over
 the text, each match being the whitespace and comments before a token and
@@ -81,10 +93,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
 from .forms import Form, VectorField
@@ -92,6 +105,7 @@ from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import Chart, ScalarField, _from_ints, rational_str
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
+Computation = Callable[[], Value]  # an operation call whose operand kinds are checked
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
@@ -133,20 +147,31 @@ def _scalars(value: Value) -> list[ScalarField]:
 # length below which an integer is certainly smaller.
 _UNPRINTABLE = 10 ** MAX_LITERAL_DIGITS
 _PRINTABLE_BITS = _UNPRINTABLE.bit_length()
+# The most bits the largest integers of a product's two operands may have together.
+_PRODUCT_BITS = 2 * (_PRINTABLE_BITS + 1)
 
 
-def _printable(f: ScalarField) -> bool:
-    """Whether every coefficient of f prints with at most MAX_LITERAL_DIGITS digits
-    in its numerator and its denominator, as the parser reads them back."""
-    den = f._den
-    if (den.bit_length() < _PRINTABLE_BITS
-            and max(map(int.bit_length, f._num.values()), default=0) < _PRINTABLE_BITS):
-        return True
-    for c in f._num.values():
-        g = gcd(c, den)  # each coefficient prints in lowest terms
-        if abs(c) // g >= _UNPRINTABLE or den // g >= _UNPRINTABLE:
-            return False
-    return True
+# The faults of a definition's value, by the order in which they are reported.
+_HIGH = 1  # an exponent above MAX_EXPONENT
+_WIDE = 2  # a coefficient of more than MAX_LITERAL_DIGITS digits
+
+
+def _fault(f: ScalarField) -> int:
+    """0 when f prints and reads back, else ``_WIDE`` or ``_HIGH``.
+
+    Every coefficient must print with at most MAX_LITERAL_DIGITS digits in
+    its numerator and its denominator, as the parser reads them back, and
+    every exponent must be at most MAX_EXPONENT.
+    """
+    num, den = f._num, f._den
+    if (den.bit_length() >= _PRINTABLE_BITS
+            or max(map(int.bit_length, num.values()), default=0) >= _PRINTABLE_BITS):
+        for c in num.values():
+            g = gcd(c, den)  # each coefficient prints in lowest terms
+            if abs(c) // g >= _UNPRINTABLE or den // g >= _UNPRINTABLE:
+                return _WIDE
+    # every exponent of every monomial, flattened so that no call runs per monomial
+    return _HIGH if max(chain.from_iterable(num), default=0) > MAX_EXPONENT else 0
 
 
 _numerators = attrgetter("_num")  # a scalar field's {exponents: numerator} map
@@ -164,6 +189,32 @@ def _term_count(value: Value) -> int:
 def _int_bits(f: ScalarField) -> int:
     """The bit length of the largest integer of f, a numerator or its denominator."""
     return max(f._den.bit_length(), max(map(int.bit_length, f._num.values()), default=0))
+
+
+def _value_bits(value: Value) -> int:
+    """The bit length of the largest integer of any coefficient of a value."""
+    if isinstance(value, ScalarField):
+        return _int_bits(value)
+    return max(map(_int_bits, _scalars(value)), default=0)
+
+
+def _is_unit_term(value: Value) -> bool:
+    """Whether value is a form or vector field of a single term whose coefficient
+    is 1 or -1 times a monomial (``dx``, ``dx^dy``, ``@x``, ``-x*dy``).
+
+    A product with such a factor has as many terms as the other operand and
+    the same integers, so the product limits need not look at it.
+    """
+    if type(value) is Form:
+        coefficients = value.components.values()
+    elif type(value) is VectorField:
+        coefficients = [c for c in value.components if c]
+    else:
+        return False
+    if len(coefficients) != 1:
+        return False
+    (c,) = coefficients
+    return c._den == 1 and list(c._num.values()) in ([1], [-1])
 
 
 def _as_form(value: ScalarField | Form) -> Form:
@@ -341,14 +392,12 @@ class _Parser:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
             self._expect("=", "'='")
             value = _collapse(self._expr())
-            scalars = _scalars(value)
-            if not all(map(_printable, scalars)):
+            fault = max(map(_fault, _scalars(value)), default=0)
+            if fault == _WIDE:
                 self._err(name_tok, "E_PARSE",
                           f"value of '{name}' has a coefficient of more than "
                           f"{MAX_LITERAL_DIGITS} digits")
-            # every exponent of every monomial, flattened so that no call runs per monomial
-            exponents = chain.from_iterable(chain.from_iterable(map(_numerators, scalars)))
-            if max(exponents, default=0) > MAX_EXPONENT:
+            if fault == _HIGH:
                 self._err(name_tok, "E_PARSE",
                           f"value of '{name}' has an exponent above {MAX_EXPONENT}")
             self.definitions[name] = value
@@ -574,12 +623,24 @@ class _Parser:
         return a * b
 
     def _check_product(self, a: Value, b: Value, tok: _Token) -> None:
-        """Refuse, before any work, a product that needs too many term products."""
+        """Refuse, before any work, a product that needs too many term products
+        or whose operands' largest integers together pass ``_PRODUCT_BITS`` bits.
+
+        The size bound is twice that of a step of ``^``: one operand may be an
+        intermediate value that could not be printed by itself.
+        """
+        if _is_unit_term(a) or _is_unit_term(b):
+            return
         m, n = _term_count(a), _term_count(b)
         if m * n > MAX_PRODUCT_TERMS:
             self._err(tok, "E_PARSE",
                       f"product of a {m}-term and a {n}-term operand "
                       f"exceeds {MAX_PRODUCT_TERMS} term products")
+        i, j = _value_bits(a), _value_bits(b)
+        if i + j > _PRODUCT_BITS:
+            self._err(tok, "E_PARSE",
+                      f"product of operands with {i}-bit and {j}-bit integers "
+                      f"exceeds {_PRODUCT_BITS} bits")
 
     def _atom(self) -> Value:
         tok = self._next()
@@ -678,10 +739,11 @@ class _Parser:
         if len(args) != arity:
             self._err(name_tok, "E_PARSE",
                       f"{name_tok.text} takes {arity} arguments, got {len(args)}")
+        compute = impl(self, args, name_tok)  # E_TYPE on operands of the wrong kinds
         if name_tok.text in _PRODUCT_OPS:
             self._check_product(*args, name_tok)
         try:
-            return _collapse(impl(self, args, name_tok))
+            return _collapse(compute())
         except DegreeError as exc:
             self._err(name_tok, "E_DEGREE", str(exc))
         except ChartMismatchError as exc:
@@ -711,91 +773,94 @@ class _Parser:
                   "(use wedge for products of forms)")
 
 
-def _op_wedge(p: _Parser, args, tok) -> Value:
+def _op_wedge(p: _Parser, args, tok) -> Computation:
     a, b = args
     if isinstance(a, (ScalarField, Form)) and isinstance(b, (ScalarField, Form)):
-        return _as_form(a).wedge(_as_form(b))
+        return partial(_as_form(a).wedge, _as_form(b))
     if isinstance(a, GeneralizedForm) and isinstance(b, GeneralizedForm):
-        return a.wedge(b)
+        return partial(a.wedge, b)
     p._err(tok, "E_TYPE", f"wedge needs two forms or two pair forms, got {_kind(a)} and {_kind(b)}")
 
 
-def _op_d(p: _Parser, args, tok) -> Value:
+def _op_d(p: _Parser, args, tok) -> Computation:
     (a,) = args
     if isinstance(a, (ScalarField, Form)):
-        return _as_form(a).d()
+        return _as_form(a).d
     if isinstance(a, GeneralizedForm):
-        return a.d()
+        return a.d
     p._err(tok, "E_TYPE", f"d applies to forms and pair forms, got {_kind(a)}")
 
 
-def _op_contract(p: _Parser, args, tok) -> Value:
+def _op_contract(p: _Parser, args, tok) -> Computation:
     v, a = args
     if isinstance(v, VectorField) and isinstance(a, (ScalarField, Form)):
-        return v.contract(_as_form(a))
+        return partial(v.contract, _as_form(a))
     if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return v.contract(a)
+        return partial(v.contract, a)
     p._err(tok, "E_TYPE", f"I needs (vector, form) or (pair vector, pair form), "
                           f"got {_kind(v)} and {_kind(a)}")
 
 
-def _op_lie(p: _Parser, args, tok) -> Value:
+def _op_lie(p: _Parser, args, tok) -> Computation:
     v, a = args
     if isinstance(v, VectorField) and isinstance(a, ScalarField):
-        return v.apply(a)
+        return partial(v.apply, a)
     if isinstance(v, VectorField) and isinstance(a, Form):
-        return v.lie(a)
+        return partial(v.lie, a)
     if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return v.lie(a)
+        return partial(v.lie, a)
     p._err(tok, "E_TYPE", f"L needs (vector, form) or (pair vector, pair form), "
                           f"got {_kind(v)} and {_kind(a)}")
 
 
-def _op_lie_cartan(p: _Parser, args, tok) -> Value:
+def _op_lie_cartan(p: _Parser, args, tok) -> Computation:
     v, a = args
     if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return v.lie_cartan(a)
+        return partial(v.lie_cartan, a)
     p._err(tok, "E_TYPE", f"Lc needs (pair vector, pair form), got {_kind(v)} and {_kind(a)}")
 
 
-def _op_lie_vector(p: _Parser, args, tok) -> Value:
+def _op_lie_vector(p: _Parser, args, tok) -> Computation:
     v, w = args
     if isinstance(v, GeneralizedVector) and isinstance(w, GeneralizedVector):
-        return v.lie(w)
+        return partial(v.lie, w)
     p._err(tok, "E_TYPE", f"Lv needs two pair vectors, got {_kind(v)} and {_kind(w)}")
 
 
-def _op_comm(p: _Parser, args, tok) -> Value:
+def _op_comm(p: _Parser, args, tok) -> Computation:
     v, w = args
     if isinstance(v, VectorField) and isinstance(w, VectorField):
-        return v.bracket(w)
+        return partial(v.bracket, w)
     if isinstance(v, GeneralizedVector) and isinstance(w, GeneralizedVector):
-        return v.commutator(w)
+        return partial(v.commutator, w)
     p._err(tok, "E_TYPE", f"comm needs two vectors or two pair vectors, "
                           f"got {_kind(v)} and {_kind(w)}")
 
 
-def _op_scale(p: _Parser, args, tok) -> Value:
+def _op_scale(p: _Parser, args, tok) -> Computation:
     a0, v = args
     if isinstance(a0, GeneralizedForm) and isinstance(v, GeneralizedVector):
-        return v.scaled_by(a0)  # degree check raises DegreeError -> E_DEGREE
+        return partial(v.scaled_by, a0)  # degree check raises DegreeError -> E_DEGREE
     p._err(tok, "E_TYPE", f"scale needs (degree-0 pair form, pair vector), "
                           f"got {_kind(a0)} and {_kind(v)}")
 
 
-def _op_add(p: _Parser, args, tok) -> Value:
+def _op_add(p: _Parser, args, tok) -> Computation:
     a, b = args
-    return p._add(a, b, tok)
+    return partial(p._add, a, b, tok)
 
 
-def _op_smul(p: _Parser, args, tok) -> Value:
+def _op_smul(p: _Parser, args, tok) -> Computation:
     mu, a = args
     if not isinstance(mu, ScalarField):
         p._err(tok, "E_TYPE", f"smul needs an ordinary scalar first, got {_kind(mu)}")
-    return p._mul(mu, a, tok)
+    return partial(p._mul, mu, a, tok)
 
 
-# The operations that multiply coefficients of their two operands.
+# Each operation checks the kinds of its operands and returns its computation,
+# a callable of no arguments; ``_opcall`` runs it after the product limit, so
+# a call with operands of the wrong kinds is E_TYPE whatever their size.
+# The operations that multiply coefficients of their two operands:
 _PRODUCT_OPS = frozenset(("wedge", "I", "L", "Lc", "Lv", "comm", "scale"))
 
 _OPS = {

@@ -441,3 +441,82 @@ def test_value_with_an_exponent_above_the_limit_is_refused_at_its_name():
         assert info.value.code == "E_PARSE"
         assert (info.value.line, info.value.col) == (text.count("\n") + 2, 1), text
         assert f"exponent above {MAX_EXPONENT}" in info.value.message
+
+
+def test_product_integer_limit_stops_a_chain_of_wide_factors():
+    # a has 13288-bit integers: a*a (26576 bits) is allowed, (a*a)*a is refused at the '*'
+    nines = "9" * 4000
+    for count in (3, 60):
+        with pytest.raises(ParseError) as info:
+            parse_session(f"chart x\na = {nines}*x\nb = " + "*".join(["a"] * count))
+        assert info.value.code == "E_PARSE"
+        assert (info.value.line, info.value.col) == (3, 8)  # the second '*'
+        assert "26576-bit and 13288-bit integers" in info.value.message
+    with pytest.raises(ParseError) as info:
+        parse_session(f"chart x, y\na = {nines}*x\nc = wedge(a*a*dx, a*dy)")
+    assert (info.value.line, info.value.col, info.value.code) == (3, 5, "E_PARSE")
+    assert "integers exceeds" in info.value.message
+
+
+def test_product_integer_limit_is_exact(monkeypatch):
+    # 255 has 8 bits, so a*a needs 16 bits and a*a*a 24
+    text = "chart x, y\na = 255*x + y\nb = a*a\nc = smul(a, a*dx)\ng = wedge(a*dx, a*dy)"
+    expected = parse_session(text).definitions
+    monkeypatch.setattr(session_module, "_PRODUCT_BITS", 16)
+    assert parse_session(text).definitions == expected
+    monkeypatch.setattr(session_module, "_PRODUCT_BITS", 15)
+    for line in (3, 4, 5):
+        lines = text.split("\n")
+        with pytest.raises(ParseError) as info:
+            parse_session("\n".join(lines[:2] + lines[line - 1:line]))
+        assert info.value.code == "E_PARSE"
+        assert info.value.col == {3: 6, 4: 5, 5: 5}[line]
+        assert "8-bit and 8-bit integers exceeds 15 bits" in info.value.message
+
+
+def test_unit_basis_factors_skip_the_product_limits(monkeypatch):
+    monkeypatch.setattr(session_module, "MAX_PRODUCT_TERMS", 2)
+    monkeypatch.setattr(session_module, "_PRODUCT_BITS", 2)
+    session = parse_session("chart x, y\nf = 7 + 5*x + 3*y\na = f*dx + dy*f\nb = f*dx^dy\n"
+                            "v = f*@x - @y*f\nc = f*-dx\ng = wedge(f, dx)\nw = I(@y, f*dy)")
+    x, y = session.chart.coordinates()
+    f = 7 + 5 * x + 3 * y
+    dx, dy = one_forms(session.chart)
+    assert session.definitions["a"] == f * dx + f * dy
+    assert session.definitions["c"] == -(f * dx)
+    assert session.definitions["w"] == f
+    for body in ("f*(2*dx)", "f*(x*dx + dy)", "f*(@x + @y)", "f*f"):
+        with pytest.raises(ParseError) as info:
+            parse_session("chart x, y\nf = 7 + 5*x + 3*y\ng = " + body)
+        assert info.value.code == "E_PARSE", body
+        assert info.value.col == 6, body
+
+
+@pytest.mark.parametrize("call", [
+    "wedge(v, v)", "I(f, g)", "L(g, v)", "Lc(v, g)", "Lv(v, v)", "comm(g, v)", "scale(v, g)",
+])
+def test_operation_kinds_are_checked_before_the_product_limit(call, monkeypatch):
+    monkeypatch.setattr(session_module, "MAX_PRODUCT_TERMS", 0)
+    with pytest.raises(ParseError) as info:
+        parse_session("chart x, y\nf = 1 + x\nv = f*@x + f*@y\ng = f*dx\nh = " + call)
+    assert (info.value.line, info.value.col, info.value.code) == (5, 5, "E_TYPE")
+
+
+def test_wrong_kinds_of_large_operands_are_a_type_error():
+    text = "chart x, y, z\nf = (1+x+y+z)^12\nv = f*@x + f*@y\ng = wedge(v, v)"
+    with pytest.raises(ParseError) as info:
+        parse_session(text)
+    assert (info.value.line, info.value.col, info.value.code) == (4, 5, "E_TYPE")
+    with pytest.raises(ParseError) as info:
+        parse_session(text.replace("wedge(v, v)", "comm(v, v)"))
+    assert (info.value.line, info.value.col, info.value.code) == (4, 5, "E_PARSE")
+    assert "term products" in info.value.message
+
+
+def test_value_faults_report_digits_before_exponents():
+    nines = "9" * 3000
+    for body in ("b = a*a*x^1000*x", "b = x^1000*x*@x + a*a*@y", "b = [a*a ; x^1000*x*dx]"):
+        with pytest.raises(ParseError) as info:
+            parse_session(f"chart x, y\na = {nines}\n{body}")
+        assert (info.value.line, info.value.col) == (3, 1), body
+        assert "more than 4300 digits" in info.value.message, body
