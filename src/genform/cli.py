@@ -69,10 +69,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _diag(f"{exc.line}:{exc.col}: {exc.code}: {exc.message}")
         return 2
-    except (GenformError, ValueError) as exc:
-        _diag(f"genform: error: {exc}")
-        return 2
-    except OSError as exc:
+    except (GenformError, ValueError, OSError) as exc:
         _diag(f"genform: error: {exc}")
         return 2
 

@@ -107,7 +107,7 @@ class Form:
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "Form":
-        return _trusted_form(chart, degree, {})
+        return _trusted_form(chart, degree, ())
 
     @classmethod
     def from_scalar(cls, f: ScalarField) -> "Form":
@@ -151,10 +151,10 @@ class Form:
         for key, poly in other.components.items():
             cur = acc.get(key)
             acc[key] = poly if cur is None else cur + poly
-        return _trusted_form(self.chart, self.degree, acc)
+        return _trusted_form(self.chart, self.degree, acc.items())
 
     def __neg__(self):
-        return _trusted_form(self.chart, self.degree, {k: -p for k, p in self.components.items()})
+        return _trusted_form(self.chart, self.degree, [(k, -p) for k, p in self.components.items()])
 
     def __sub__(self, other):
         if not isinstance(other, Form):
@@ -167,7 +167,7 @@ class Form:
         if isinstance(factor, ScalarField):
             _require_same_chart(self.chart, factor.chart)
         return _trusted_form(self.chart, self.degree,
-                             {k: factor * p for k, p in self.components.items()})
+                             [(k, factor * p) for k, p in self.components.items()])
 
     def wedge(self, other: "Form") -> "Form":
         """Antisymmetrized product; degree adds, repeated indices cancel."""
@@ -184,7 +184,7 @@ class Form:
                 df = poly.diff(i)
                 if df:
                     terms.append(((i,) + key, df))
-        return _trusted_form(self.chart, self.degree + 1, _merge_terms(terms))
+        return _trusted_form(self.chart, self.degree + 1, _merge_terms(terms).items())
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -312,16 +312,17 @@ _set_vector_chart = VectorField.chart.__set__
 _set_vector_components = VectorField.components.__set__
 
 
-def _trusted_form(chart: Chart, degree: int, components: Mapping[Key, ScalarField]) -> Form:
+def _trusted_form(chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarField]]) -> Form:
     """The trusted constructor of internal forms: drops zeros, checks nothing else.
 
-    ``components`` must have strictly increasing keys of length ``degree``
-    with indices in range and coefficients on ``chart``.
+    ``pairs`` must be (key, coefficient) pairs with distinct, strictly
+    increasing keys of length ``degree``, indices in range and coefficients
+    on ``chart``; the form's components are built from them in one pass.
     """
     f = object.__new__(Form)
     _set_form_chart(f, chart)
     _set_degree(f, degree)
-    _set_form_components(f, {k: p for k, p in components.items() if p})
+    _set_form_components(f, {k: p for k, p in pairs if p})
     return f
 
 
@@ -338,8 +339,8 @@ def _trusted_vector(chart: Chart, components: tuple[ScalarField, ...]) -> Vector
 
 def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
     """The form whose coefficient at each key is the kernel's sum of that key's products."""
-    return _trusted_form(chart, degree,
-                         {key: _sum_products(chart, triples) for key, triples in groups.items()})
+    return _trusted_form(chart, degree, [(key, _sum_products(chart, triples))
+                                         for key, triples in groups.items()])
 
 
 def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:

@@ -343,8 +343,8 @@ def _trusted_pair(ordinary: Form, companion: Form) -> GeneralizedForm:
     chart = ordinary.chart
     if p < -1 or p > chart.dim:
         p = max(-1, min(chart.dim, p))
-        ordinary = _trusted_form(chart, p, {})
-        companion = _trusted_form(chart, p + 1, {})
+        ordinary = _trusted_form(chart, p, ())
+        companion = _trusted_form(chart, p + 1, ())
     a = object.__new__(GeneralizedForm)
     _set_ordinary(a, ordinary)
     _set_companion(a, companion)

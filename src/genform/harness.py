@@ -130,10 +130,11 @@ def _position(pos) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Generators.  The public gen_* functions derive their stream from
-# (seed, position); the _-prefixed worker variants share an rng so one trial
-# can draw several objects, and build their values with the trusted
-# constructors, since every draw is in range.
+# Generators.  One table, ``_SLOT_KINDS``, maps each slot kind to its draw
+# and its forced zero.  A draw builds one value from one rng with the trusted
+# constructors, since every draw is in range; the public gen_* functions seed
+# that rng from (seed, kind, degree, position), and a trial seeds it from
+# (seed, "slot", trial, slot index), so one trial's slots draw independently.
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -234,17 +235,9 @@ def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
 
 
 def _form(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> Form:
-    components = {}
-    if 0 <= degree <= chart.dim:
-        for key in itertools.combinations(range(chart.dim), degree):
-            if rng.random() < 0.85:
-                components[key] = _scalar(rng, cfg, chart)
-    return _trusted_form(chart, degree, components)
-
-
-def _gform(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> GeneralizedForm:
-    return _trusted_pair(_form(rng, cfg, chart, degree),
-                         _form(rng, cfg, chart, degree + 1))
+    keys = itertools.combinations(range(chart.dim), degree) if 0 <= degree <= chart.dim else ()
+    return _trusted_form(chart, degree, [(key, _scalar(rng, cfg, chart))
+                                         for key in keys if rng.random() < 0.85])
 
 
 def _vector(rng: random.Random, cfg: GenConfig, chart: Chart) -> VectorField:
@@ -253,36 +246,61 @@ def _vector(rng: random.Random, cfg: GenConfig, chart: Chart) -> VectorField:
     return _trusted_vector(chart, comps)
 
 
-def _gvector(rng: random.Random, cfg: GenConfig, chart: Chart) -> GeneralizedVector:
-    return _trusted_gvector(_vector(rng, cfg, chart), _scalar(rng, cfg, chart))
+def _gform(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> GeneralizedForm:
+    return _trusted_pair(_form(rng, cfg, chart, degree), _form(rng, cfg, chart, degree + 1))
+
+
+# Trials whose index is _ZERO_FORM_TRIAL (_ZERO_VECTOR_TRIAL) mod 8 set their
+# first form (vector) slot to zero, drawing nothing for it.
+_ZERO_FORM_TRIAL, _ZERO_VECTOR_TRIAL = 3, 5
+
+# slot kind -> (draw, forced zero).  A draw is called as
+# ``draw(rng, cfg, chart, *degree)``; a forced zero is None or
+# (trial index mod 8, ``zero(chart, *degree)``), each zero a lambda so that a
+# patched ``zero`` is the one called.  The form kinds, forced at
+# _ZERO_FORM_TRIAL, take a degree from the trial's schedule or the gen_*
+# call; no other kind takes one.
+_SLOT_KINDS = {
+    "scalar": (_scalar, None),
+    "const": (lambda rng, cfg, chart: chart.constant(_gen_rational(rng, cfg.coefficient_bound)),
+              None),
+    "form": (_form, (_ZERO_FORM_TRIAL, lambda chart, p: Form.zero(chart, p))),
+    "gform": (_gform, (_ZERO_FORM_TRIAL, lambda chart, p: GeneralizedForm.zero(chart, p))),
+    "gform0": (lambda rng, cfg, chart: _gform(rng, cfg, chart, 0), None),
+    "vector": (_vector, (_ZERO_VECTOR_TRIAL, lambda chart: VectorField.zero(chart))),
+    "gvector": (lambda rng, cfg, chart: _trusted_gvector(_vector(rng, cfg, chart),
+                                                         _scalar(rng, cfg, chart)),
+                (_ZERO_VECTOR_TRIAL, lambda chart: GeneralizedVector.zero(chart))),
+}
+
+
+def _generate(kind: str, cfg: GenConfig, position, chart: Chart, *degree: int):
+    return _SLOT_KINDS[kind][0](_rng(cfg, kind, *degree, *_position(position)),
+                                cfg, chart, *degree)
 
 
 def gen_scalar(cfg: GenConfig, position, chart: Chart | None = None) -> ScalarField:
     """Random polynomial within the config bounds, deterministic per (seed, position)."""
-    chart = chart or default_chart(cfg)
-    return _scalar(_rng(cfg, "scalar", *_position(position)), cfg, chart)
+    return _generate("scalar", cfg, position, chart or default_chart(cfg))
 
 
 def gen_form(cfg: GenConfig, degree: int, position, chart: Chart | None = None) -> Form:
-    chart = chart or default_chart(cfg)
-    return _form(_rng(cfg, "form", degree, *_position(position)), cfg, chart, degree)
+    return _generate("form", cfg, position, chart or default_chart(cfg), degree)
 
 
 def gen_gform(cfg: GenConfig, degree: int, position, chart: Chart | None = None) -> GeneralizedForm:
     chart = chart or default_chart(cfg)
     if not -1 <= degree <= chart.dim:
         raise DegreeError(f"pair degree {degree} out of range [-1, {chart.dim}]")
-    return _gform(_rng(cfg, "gform", degree, *_position(position)), cfg, chart, degree)
+    return _generate("gform", cfg, position, chart, degree)
 
 
 def gen_vector(cfg: GenConfig, position, chart: Chart | None = None) -> VectorField:
-    chart = chart or default_chart(cfg)
-    return _vector(_rng(cfg, "vector", *_position(position)), cfg, chart)
+    return _generate("vector", cfg, position, chart or default_chart(cfg))
 
 
 def gen_gvector(cfg: GenConfig, position, chart: Chart | None = None) -> GeneralizedVector:
-    chart = chart or default_chart(cfg)
-    return _gvector(_rng(cfg, "gvector", *_position(position)), cfg, chart)
+    return _generate("gvector", cfg, position, chart or default_chart(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -503,63 +521,40 @@ _identity("P17", "ordinary calculus embeds at zero scalar part and zero companio
 
 def scheduled_degrees(dimension: int, trial: int, count: int,
                       rng: random.Random | None = None) -> tuple[int, ...]:
-    """Degrees for a trial's form slots; all (p, q) pairs recur every (n+2)^2 trials."""
+    """Degrees for a trial's form slots; all (p, q) pairs recur every (n+2)^2 trials.
+
+    A third slot and later ones draw their degrees from ``rng``.
+    """
     span = dimension + 2
     if count <= 0:
         return ()
     if count == 1:
         return ((trial % span) - 1,)
-    degrees = [((trial // span) % span) - 1, (trial % span) - 1]
-    while len(degrees) < count:
-        degrees.append((rng.randrange(span) - 1) if rng
-                       else ((trial // span ** 2) % span) - 1)
-    return tuple(degrees)
+    return (((trial // span) % span) - 1, (trial % span) - 1,
+            *[rng.randrange(span) - 1 for _ in range(count - 2)])
 
 
 def _trial_chart(cfg: GenConfig, trial: int) -> Chart:
-    return Chart(_chart_names(cfg.dimension), _k(cfg, trial))
+    return default_chart(cfg, _k(cfg, trial))
 
 
 def _trial_env(ident: Identity, cfg: GenConfig, chart: Chart, trial: int) -> dict:
     if ident.name == "P10" and trial == 1 and chart.dim >= 2:
         return residual_witness(chart)
-    form_count = sum(1 for _, kind in ident.slots if kind in ("gform", "form"))
+    kinds = [_SLOT_KINDS[kind] for _, kind in ident.slots]
+    form_count = sum(1 for _, forced in kinds if forced and forced[0] == _ZERO_FORM_TRIAL)
     # only a third form slot draws its degree from the stream
     degrees = iter(scheduled_degrees(chart.dim, trial, form_count,
                                      _rng(cfg, "deg", trial) if form_count > 2 else None))
-    force_zero_form = trial % 8 == 3
-    force_zero_vector = trial % 8 == 5
+    zeroed = trial % 8  # the residue whose first slot is still to be forced to zero
     env = {}
-    for index, (name, kind) in enumerate(ident.slots):
-        if kind in ("gform", "form"):
-            degree = next(degrees)
-            if force_zero_form:  # a forced zero draws nothing
-                env[name] = (GeneralizedForm.zero(chart, degree) if kind == "gform"
-                             else Form.zero(chart, degree))
-                force_zero_form = False
-                continue
-        elif kind in ("gvector", "vector") and force_zero_vector:
-            env[name] = (GeneralizedVector.zero(chart) if kind == "gvector"
-                         else VectorField.zero(chart))
-            force_zero_vector = False
-            continue
-        rng = _rng(cfg, "slot", trial, index)
-        if kind == "gform":
-            env[name] = _gform(rng, cfg, chart, degree)
-        elif kind == "gform0":
-            env[name] = _gform(rng, cfg, chart, 0)
-        elif kind == "form":
-            env[name] = _form(rng, cfg, chart, degree)
-        elif kind == "gvector":
-            env[name] = _gvector(rng, cfg, chart)
-        elif kind == "vector":
-            env[name] = _vector(rng, cfg, chart)
-        elif kind == "scalar":
-            env[name] = _scalar(rng, cfg, chart)
-        elif kind == "const":
-            env[name] = chart.constant(_gen_rational(rng, cfg.coefficient_bound))
-        else:  # pragma: no cover - registry is static
-            raise ValueError(f"unknown slot kind {kind!r}")
+    for index, ((name, _), (draw, forced)) in enumerate(zip(ident.slots, kinds)):
+        degree = (next(degrees),) if forced and forced[0] == _ZERO_FORM_TRIAL else ()
+        if forced and forced[0] == zeroed:
+            env[name] = forced[1](chart, *degree)
+            zeroed = None
+        else:
+            env[name] = draw(_rng(cfg, "slot", trial, index), cfg, chart, *degree)
     return env
 
 

@@ -93,11 +93,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
 from .forms import Form, VectorField
@@ -105,7 +104,6 @@ from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import Chart, ScalarField, _from_ints, rational_str
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
-Computation = Callable[[], Value]  # an operation call whose operand kinds are checked
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
@@ -735,15 +733,19 @@ class _Parser:
             self._next()
             args.append(self._expr())
         self._expect(")", "')'")
-        arity, impl = _OPS[name_tok.text]
+        arity, product, message, signatures = _OPS[name_tok.text]
         if len(args) != arity:
             self._err(name_tok, "E_PARSE",
                       f"{name_tok.text} takes {arity} arguments, got {len(args)}")
-        compute = impl(self, args, name_tok)  # E_TYPE on operands of the wrong kinds
-        if name_tok.text in _PRODUCT_OPS:
+        for classes, compute in signatures:
+            if all(map(isinstance, args, classes)):
+                break
+        else:
+            self._err(name_tok, "E_TYPE", message.format(*map(_kind, args)))
+        if product:
             self._check_product(*args, name_tok)
         try:
-            return _collapse(compute())
+            return _collapse(compute(self, name_tok, *args))
         except DegreeError as exc:
             self._err(name_tok, "E_DEGREE", str(exc))
         except ChartMismatchError as exc:
@@ -773,105 +775,42 @@ class _Parser:
                   "(use wedge for products of forms)")
 
 
-def _op_wedge(p: _Parser, args, tok) -> Computation:
-    a, b = args
-    if isinstance(a, (ScalarField, Form)) and isinstance(b, (ScalarField, Form)):
-        return partial(_as_form(a).wedge, _as_form(b))
-    if isinstance(a, GeneralizedForm) and isinstance(b, GeneralizedForm):
-        return partial(a.wedge, b)
-    p._err(tok, "E_TYPE", f"wedge needs two forms or two pair forms, got {_kind(a)} and {_kind(b)}")
-
-
-def _op_d(p: _Parser, args, tok) -> Computation:
-    (a,) = args
-    if isinstance(a, (ScalarField, Form)):
-        return _as_form(a).d
-    if isinstance(a, GeneralizedForm):
-        return a.d
-    p._err(tok, "E_TYPE", f"d applies to forms and pair forms, got {_kind(a)}")
-
-
-def _op_contract(p: _Parser, args, tok) -> Computation:
-    v, a = args
-    if isinstance(v, VectorField) and isinstance(a, (ScalarField, Form)):
-        return partial(v.contract, _as_form(a))
-    if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return partial(v.contract, a)
-    p._err(tok, "E_TYPE", f"I needs (vector, form) or (pair vector, pair form), "
-                          f"got {_kind(v)} and {_kind(a)}")
-
-
-def _op_lie(p: _Parser, args, tok) -> Computation:
-    v, a = args
-    if isinstance(v, VectorField) and isinstance(a, ScalarField):
-        return partial(v.apply, a)
-    if isinstance(v, VectorField) and isinstance(a, Form):
-        return partial(v.lie, a)
-    if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return partial(v.lie, a)
-    p._err(tok, "E_TYPE", f"L needs (vector, form) or (pair vector, pair form), "
-                          f"got {_kind(v)} and {_kind(a)}")
-
-
-def _op_lie_cartan(p: _Parser, args, tok) -> Computation:
-    v, a = args
-    if isinstance(v, GeneralizedVector) and isinstance(a, GeneralizedForm):
-        return partial(v.lie_cartan, a)
-    p._err(tok, "E_TYPE", f"Lc needs (pair vector, pair form), got {_kind(v)} and {_kind(a)}")
-
-
-def _op_lie_vector(p: _Parser, args, tok) -> Computation:
-    v, w = args
-    if isinstance(v, GeneralizedVector) and isinstance(w, GeneralizedVector):
-        return partial(v.lie, w)
-    p._err(tok, "E_TYPE", f"Lv needs two pair vectors, got {_kind(v)} and {_kind(w)}")
-
-
-def _op_comm(p: _Parser, args, tok) -> Computation:
-    v, w = args
-    if isinstance(v, VectorField) and isinstance(w, VectorField):
-        return partial(v.bracket, w)
-    if isinstance(v, GeneralizedVector) and isinstance(w, GeneralizedVector):
-        return partial(v.commutator, w)
-    p._err(tok, "E_TYPE", f"comm needs two vectors or two pair vectors, "
-                          f"got {_kind(v)} and {_kind(w)}")
-
-
-def _op_scale(p: _Parser, args, tok) -> Computation:
-    a0, v = args
-    if isinstance(a0, GeneralizedForm) and isinstance(v, GeneralizedVector):
-        return partial(v.scaled_by, a0)  # degree check raises DegreeError -> E_DEGREE
-    p._err(tok, "E_TYPE", f"scale needs (degree-0 pair form, pair vector), "
-                          f"got {_kind(a0)} and {_kind(v)}")
-
-
-def _op_add(p: _Parser, args, tok) -> Computation:
-    a, b = args
-    return partial(p._add, a, b, tok)
-
-
-def _op_smul(p: _Parser, args, tok) -> Computation:
-    mu, a = args
-    if not isinstance(mu, ScalarField):
-        p._err(tok, "E_TYPE", f"smul needs an ordinary scalar first, got {_kind(mu)}")
-    return partial(p._mul, mu, a, tok)
-
-
-# Each operation checks the kinds of its operands and returns its computation,
-# a callable of no arguments; ``_opcall`` runs it after the product limit, so
-# a call with operands of the wrong kinds is E_TYPE whatever their size.
-# The operations that multiply coefficients of their two operands:
-_PRODUCT_OPS = frozenset(("wedge", "I", "L", "Lc", "Lv", "comm", "scale"))
-
+# The operations, by name: (arity, whether the product limits apply to the
+# two operands, the E_TYPE message, formatted with the operands' kinds, and
+# the signatures).  A signature is a tuple of operand classes and the
+# computation that runs on operands of those classes, as
+# ``compute(parser, name token, *operands)``.  ``_opcall`` takes the first
+# signature that matches, so a call with operands of the wrong kinds is
+# E_TYPE whatever their size, then applies the product limits, then computes.
+# Each computation looks its method up on the operands when it runs.
+_FORMS = (ScalarField, Form)  # a scalar is a 0-form
 _OPS = {
-    "wedge": (2, _op_wedge),
-    "d": (1, _op_d),
-    "I": (2, _op_contract),
-    "L": (2, _op_lie),
-    "Lc": (2, _op_lie_cartan),
-    "Lv": (2, _op_lie_vector),
-    "comm": (2, _op_comm),
-    "scale": (2, _op_scale),
-    "add": (2, _op_add),
-    "smul": (2, _op_smul),
+    "wedge": (2, True, "wedge needs two forms or two pair forms, got {} and {}", (
+        ((_FORMS, _FORMS), lambda p, t, a, b: _as_form(a).wedge(_as_form(b))),
+        ((GeneralizedForm, GeneralizedForm), lambda p, t, a, b: a.wedge(b)))),
+    "d": (1, False, "d applies to forms and pair forms, got {}", (
+        ((_FORMS,), lambda p, t, a: _as_form(a).d()),
+        ((GeneralizedForm,), lambda p, t, a: a.d()))),
+    "I": (2, True, "I needs (vector, form) or (pair vector, pair form), got {} and {}", (
+        ((VectorField, _FORMS), lambda p, t, v, a: v.contract(_as_form(a))),
+        ((GeneralizedVector, GeneralizedForm), lambda p, t, v, a: v.contract(a)))),
+    "L": (2, True, "L needs (vector, form) or (pair vector, pair form), got {} and {}", (
+        ((VectorField, ScalarField), lambda p, t, v, f: v.apply(f)),
+        ((VectorField, Form), lambda p, t, v, a: v.lie(a)),
+        ((GeneralizedVector, GeneralizedForm), lambda p, t, v, a: v.lie(a)))),
+    "Lc": (2, True, "Lc needs (pair vector, pair form), got {} and {}", (
+        ((GeneralizedVector, GeneralizedForm), lambda p, t, v, a: v.lie_cartan(a)),)),
+    "Lv": (2, True, "Lv needs two pair vectors, got {} and {}", (
+        ((GeneralizedVector, GeneralizedVector), lambda p, t, v, w: v.lie(w)),)),
+    "comm": (2, True, "comm needs two vectors or two pair vectors, got {} and {}", (
+        ((VectorField, VectorField), lambda p, t, v, w: v.bracket(w)),
+        ((GeneralizedVector, GeneralizedVector), lambda p, t, v, w: v.commutator(w)))),
+    # a degree above 0 raises DegreeError: E_DEGREE
+    "scale": (2, True, "scale needs (degree-0 pair form, pair vector), got {} and {}", (
+        ((GeneralizedForm, GeneralizedVector), lambda p, t, a0, v: v.scaled_by(a0)),)),
+    # ``_add`` checks the kinds of its operands itself
+    "add": (2, False, None, (((object, object), lambda p, t, a, b: p._add(a, b, t)),)),
+    # ``_mul`` applies the product limits itself
+    "smul": (2, False, "smul needs an ordinary scalar first, got {}", (
+        ((ScalarField, object), lambda p, t, mu, a: p._mul(mu, a, t)),)),
 }

@@ -24,8 +24,9 @@ from genform import (
     run_identity,
 )
 from genform.cli import main
-from genform.generalized import _sign
 from genform.harness import residual_witness, scheduled_degrees
+
+from test_harness import _corrupted_contract, _corrupted_d
 
 DIMS = (1, 2, 3, 4)
 
@@ -117,24 +118,13 @@ def test_criterion_08_embedding():
 
 
 def test_criterion_09_mutation_sensitivity(monkeypatch):
-    def bad_d(self):
-        # sign defect in the k-term: the degree alternation is dropped
-        ordinary = self.ordinary.d() + self.chart.k * self.companion
-        return GeneralizedForm(ordinary, self.companion.d())
-
     with monkeypatch.context() as patch:
-        patch.setattr(GeneralizedForm, "d", bad_d)
+        patch.setattr(GeneralizedForm, "d", _corrupted_d)
         report = run_identity("P4", GenConfig(seed=114, dimension=2), 50)
         assert report.failures, "corrupted derivative must break nilpotency within 50 trials"
 
-    def bad_contract(self, a):
-        p = a.degree
-        ordinary = self.v1.contract(a.ordinary)
-        companion = self.v1.contract(a.companion) - (p * _sign(p - 1)) * (self.v0 * a.ordinary)
-        return GeneralizedForm(ordinary, companion)
-
     with monkeypatch.context() as patch:
-        patch.setattr(GeneralizedVector, "contract", bad_contract)
+        patch.setattr(GeneralizedVector, "contract", _corrupted_contract)
         report = run_identity("P10", GenConfig(seed=115, dimension=2), 50)
         assert report.failures, "corrupted contraction must break the residual law within 50 trials"
 

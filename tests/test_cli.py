@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from genform.cli import main
 from session_texts import mutated_sessions, short_texts
+from test_harness import _corrupted_d
 from genform.session import MAX_LITERAL_DIGITS, MAX_NESTING
 
 
@@ -115,11 +116,7 @@ def test_check_output_is_deterministic(capsys):
 def test_check_reports_failures_with_counterexample(capsys, monkeypatch):
     from genform import GeneralizedForm
 
-    def bad_d(self):
-        ordinary = self.ordinary.d() + self.chart.k * self.companion
-        return GeneralizedForm(ordinary, self.companion.d())
-
-    monkeypatch.setattr(GeneralizedForm, "d", bad_d)
+    monkeypatch.setattr(GeneralizedForm, "d", _corrupted_d)
     status, out, _ = run(capsys, ["check", "P4", "--dim", "2", "--trials", "20",
                                   "--seed", "3", "--k", "random"])
     assert status == 1

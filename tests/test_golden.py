@@ -17,9 +17,11 @@ from genform import (
     GeneralizedForm,
     GeneralizedVector,
     default_chart,
+    gen_form,
     gen_gform,
     gen_gvector,
     gen_scalar,
+    gen_vector,
     render_session,
 )
 from genform.cli import main
@@ -60,6 +62,28 @@ TRIAL_INPUT_DIGESTS = {
     4: "af51efbbb8d2c83a0980f610b75a7d756370a02e0b707398e6b90283b025de95",
 }
 
+# sha256 of the printed ``gen_form`` values of every degree from -1 to dim + 1
+# and the ``gen_vector`` values, at the positions below, for seeds 0-5,
+# concatenated, per dimension; then one of each on the default chart.  These
+# pin the "form" and "vector" streams, which no session above draws from.
+GENERATOR_DIGESTS = {
+    1: "c5d1343664508291b02dae4da8a0f39b68184031ad1963d17a3261e7ff4f82be",
+    2: "857c76d00c54601e43240ad6d6014a2416b520c7e8055fe36348be27c9e6d902",
+    3: "2a8a0755615efe9dc1b0522ef5007b9f9085bbc559daaa2c1545b1e6895e837d",
+    4: "21ab153acf1c64bc9bca55f946d7bed5e9126e5d6b215a9d4fa6d3308fe7ce94",
+}
+GENERATOR_POSITIONS = (0, 7, (3, 1), (12, 0, 5))
+
+
+def _generated_forms_and_vectors(seed, dim):
+    cfg = GenConfig(seed=seed, dimension=dim)
+    chart = default_chart(cfg)
+    lines = [str(gen_form(cfg, p, pos, chart))
+             for p in range(-1, dim + 2) for pos in GENERATOR_POSITIONS]
+    lines += [str(gen_vector(cfg, pos, chart)) for pos in GENERATOR_POSITIONS]
+    lines += [str(gen_form(cfg, 1, 3)), str(gen_vector(cfg, 3))]
+    return "\n".join(lines) + "\n"
+
 
 def _generated_session(seed, dim):
     cfg = GenConfig(seed=seed, dimension=dim, max_poly_degree=4, max_terms=6)
@@ -82,6 +106,14 @@ def test_generated_session_digests(dim):
     for seed in range(10):
         digest.update(_generated_session(seed, dim).encode("utf-8"))
     assert digest.hexdigest() == SESSION_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(GENERATOR_DIGESTS))
+def test_form_and_vector_stream_digests(dim):
+    digest = hashlib.sha256()
+    for seed in range(6):
+        digest.update(_generated_forms_and_vectors(seed, dim).encode("utf-8"))
+    assert digest.hexdigest() == GENERATOR_DIGESTS[dim]
 
 
 @pytest.mark.parametrize("dim", sorted(TRIAL_INPUT_DIGESTS))

@@ -6,13 +6,14 @@ gave on malformed sessions; both were recorded before the fast path existed.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import reference_session
-from genform import ParseError, parse_session
+from genform import ParseError, parse_session, render_session
 from session_texts import mutated_sessions, session_text, short_texts
 
 GOLDEN = Path(__file__).parent / "golden" / "diagnostics.txt"
@@ -89,3 +90,34 @@ def test_parser_agrees_with_reference_on_generated_sessions(dim):
         text = session_text(seed, dim)
         assert _outcome(_parse_new, text)[0] == "ok"
         _assert_agrees(text)
+
+
+# -- every operation on every operand kind --------------------------------------
+
+# One operand of each kind an operation can be given, on the chart below.
+OPERANDS = ("x + 2*y", "y*dx - x*dy", "x*@y + @x", "[x ; y*dx]",
+            "[y*dx ; 3/2*x*dx^dy]", "{y*@x ; x}")
+OPERATION_CHART = "chart x, y k=1/2\n"
+
+
+def _operation_texts():
+    for name in reference_session.OP_NAMES:
+        for arity in (1, 2, 3):
+            for operands in itertools.product(OPERANDS, repeat=arity):
+                yield f"{OPERATION_CHART}r = {name}({', '.join(operands)})\n"
+
+
+def _rendering_or_diagnostic(parse, text):
+    try:
+        chart, definitions = parse(text)
+    except ParseError as exc:
+        return f"{exc.line}:{exc.col}: {exc.code}: {exc.message}"
+    return render_session(chart, definitions)
+
+
+def test_every_operation_on_every_operand_kind_agrees_with_reference():
+    texts = list(_operation_texts())
+    assert len(texts) == 2580
+    for text in texts:
+        assert (_rendering_or_diagnostic(_parse_new, text)
+                == _rendering_or_diagnostic(reference_session.parse_session, text)), text
