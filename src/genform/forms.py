@@ -17,14 +17,15 @@ of a form is computed with the coordinate formula
 not with the homotopy formula i_v d + d i_v, so the identity suite's checks
 of the homotopy formula compare two independent computations.
 
-Every coefficient of a wedge product, a contraction, a Lie derivative, a
-directional derivative or a bracket is a sum of products of coefficients;
-each is built by one call of the scalar kernel's fused sum of products.  The
-private accumulators ``_wedge_into``, ``_contract_into``, ``_scale_into``,
+Every coefficient of a wedge product, an exterior derivative (as products
+1 * d_i a_I), a contraction, a Lie derivative, a directional derivative or a
+bracket is a sum of products of coefficients; each is built by one call of
+the scalar kernel's fused sum of products.  The private accumulators
+``_wedge_into``, ``_d_into``, ``_contract_into``, ``_scale_into``,
 ``_lie_into`` and ``_apply_into`` append the (sign, a, b) products of one
 operation to a map from output index tuple to products (a list for scalar
-results), so a sum of several operations, as the pair calculus needs, is
-still one kernel call per coefficient.
+results), so a sum of several operations is still one kernel call per
+coefficient.
 
 ``Form`` and ``VectorField`` are slotted frozen dataclasses.  The public
 constructors ``Form(...)``, ``Form.from_terms`` and ``VectorField(...)``
@@ -103,7 +104,15 @@ class Form:
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarField]]) -> "Form":
         """Build a form from arbitrary-order index tuples, normalizing parity."""
-        return cls(chart, degree, _merge_terms(pairs))
+        acc: dict[Key, ScalarField] = {}
+        for key, poly in pairs:
+            if not poly.is_zero:
+                sorted_key, sign = _normalize_key(tuple(key))
+                if sorted_key is not None:
+                    signed = poly if sign > 0 else -poly
+                    cur = acc.get(sorted_key)
+                    acc[sorted_key] = signed if cur is None else cur + signed
+        return cls(chart, degree, acc)
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "Form":
@@ -178,13 +187,9 @@ class Form:
 
     def d(self) -> "Form":
         """Exterior derivative: d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I."""
-        terms = []
-        for key, poly in self.components.items():
-            for i in range(self.chart.dim):
-                df = poly.diff(i)
-                if df:
-                    terms.append(((i,) + key, df))
-        return _trusted_form(self.chart, self.degree + 1, _merge_terms(terms).items())
+        groups: Groups = {}
+        _d_into(groups, self)
+        return _fused_form(self.chart, self.degree + 1, groups)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -381,6 +386,19 @@ def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:
         groups.setdefault(key, []).append((sign, f, poly))
 
 
+def _d_into(groups: Groups, a: Form) -> None:
+    """d a: the product 1 * d_i a_I on the sorted key of (i,) + I, for each i not in I."""
+    one = a.chart.constant(1)
+    n = a.chart.dim
+    for key, poly in a.components.items():
+        for i in range(n):
+            new, parity = _normalize_key((i,) + key)
+            if new is not None:
+                df = poly.diff(i)
+                if df:
+                    groups.setdefault(new, []).append((parity, one, df))
+
+
 def _apply_into(triples: list, v: VectorField, f: ScalarField, sign: int = 1) -> None:
     """sign * v(f) = sign * sum_i v^i d_i f."""
     for i, comp in enumerate(v.components):
@@ -423,21 +441,6 @@ def _bracket_rows(v: VectorField, w: VectorField) -> list[list]:
         _apply_into(triples, w, vi, -1)
         rows.append(triples)
     return rows
-
-
-def _merge_terms(pairs: Iterable[tuple[Key, ScalarField]]) -> dict[Key, ScalarField]:
-    """Sort each index tuple, absorb its parity and add coefficients of equal keys."""
-    acc: dict[Key, ScalarField] = {}
-    for key, poly in pairs:
-        if poly.is_zero:
-            continue
-        sorted_key, sign = _normalize_key(tuple(key))
-        if sorted_key is None:
-            continue
-        signed = poly if sign > 0 else -poly
-        cur = acc.get(sorted_key)
-        acc[sorted_key] = signed if cur is None else cur + signed
-    return acc
 
 
 def one_forms(chart: Chart) -> tuple[Form, ...]:

@@ -31,12 +31,12 @@ do not swap them for rearranged equivalents.
 Degrees outside [-1, n] can only arise for identically zero pairs and are
 clamped back into range; zero pairs compare equal regardless of degree tag.
 
-Each coefficient of a result is one call of the scalar kernel's fused sum of
-products: the slot formulas above are collected with the accumulators of
-:mod:`genform.forms` (wedge, contraction, scaling by a scalar, Lie
-derivative, directional derivative) into one list of products per output
-coefficient, so a slot that is a sum of several terms builds no intermediate
-form or scalar.  In lie on forms, ``k v0`` is scaled once and both slots
+Each coefficient of a result of wedge, d, contract, scaled_by, lie or
+commutator is one call of the scalar kernel's fused sum of products: the slot
+formulas above are collected with the accumulators of :mod:`genform.forms`
+into one list of products per output coefficient, so a slot that is a sum
+of several terms, such as the ordinary slot of d with its k term, builds no
+intermediate form.  In lie on forms, ``k v0`` is scaled once and both slots
 multiply it by their integer degree factor.  The ordinary Lie derivative
 L_{v1} uses the coordinate formula, while lie_cartan stays the literal
 composition I_V d + d I_V, so the identities relating the two compare
@@ -63,6 +63,7 @@ from .forms import (
     _apply_into,
     _bracket_rows,
     _contract_into,
+    _d_into,
     _fused_form,
     _fused_vector,
     _lie_into,
@@ -172,10 +173,12 @@ class GeneralizedForm:
                              _fused_form(self.chart, self.degree + q + 1, groups))
 
     def d(self) -> "GeneralizedForm":
-        k = self.chart.k
-        p = self.degree
-        ordinary = self.ordinary.d() + (_sign(p + 1) * k) * self.companion
-        return _trusted_pair(ordinary, self.companion.d())
+        chart = self.chart
+        ordinary: Groups = {}
+        _d_into(ordinary, self.ordinary)
+        if chart.k:
+            _scale_into(ordinary, chart.constant(chart.k), self.companion, _sign(self.degree + 1))
+        return _trusted_pair(_fused_form(chart, self.degree + 1, ordinary), self.companion.d())
 
     def __str__(self) -> str:
         return f"[{self.ordinary} ; {self.companion}]"

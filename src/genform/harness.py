@@ -41,7 +41,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from .errors import DegreeError, UnknownIdentityError
@@ -61,7 +60,7 @@ from .generalized import (
     _trusted_pair,
     cartan_residual,
 )
-from .scalars import Chart, ScalarField, _from_ints, rational_str
+from .scalars import Chart, ScalarField, _from_monomials, rational_str
 from .session import parse_session, render_session
 
 _COORD_NAMES = ("x", "y", "z", "w")
@@ -225,13 +224,8 @@ def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
         d = bits(bound_bits)
         while d >= bound:
             d = bits(bound_bits)
-        drawn.append((tuple(exps), c + 1 if sign else -1 - c, d + 1))
-    # integer numerators over the lcm of the drawn denominators
-    den = lcm(*[d for _, _, d in drawn])
-    num: dict[tuple[int, ...], int] = {}
-    for exps, c, d in drawn:
-        num[exps] = num.get(exps, 0) + c * (den // d)
-    return _from_ints(chart, {e: c for e, c in num.items() if c}, den)
+        drawn.append((c + 1 if sign else -1 - c, d + 1, tuple(exps)))
+    return _from_monomials(chart, drawn)
 
 
 def _form(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> Form:
@@ -357,6 +351,18 @@ def residual_witness(chart: Chart) -> dict:
     }
 
 
+IDENTITIES: dict[str, Identity] = {}
+
+
+def _identity(name: str, summary: str, **slots: str):
+    """Register the decorated check as identity ``name``; ``slots`` maps slot names to kinds."""
+    def register(check):
+        IDENTITIES[name] = Identity(name, summary, tuple(slots.items()), check)
+        return check
+    return register
+
+
+@_identity("P1", "unit and zero laws of the pair wedge product", a="gform")
 def _check_p1(chart, env):
     a = env["a"]
     unit = GeneralizedForm.from_form(Form.from_scalar(chart.constant(1)))
@@ -364,75 +370,99 @@ def _check_p1(chart, env):
     return [(unit.wedge(a), a), (zero.wedge(a), zero)]
 
 
+@_identity("P2", "graded commutativity of the pair wedge product", a="gform", b="gform")
 def _check_p2(chart, env):
     a, b = env["a"], env["b"]
     return [(a.wedge(b), _sign(a.degree * b.degree) * b.wedge(a))]
 
 
+@_identity("P3", "associativity of the pair wedge product", a="gform", b="gform", c="gform")
 def _check_p3(chart, env):
     a, b, c = env["a"], env["b"], env["c"]
     return [(a.wedge(b).wedge(c), a.wedge(b.wedge(c)))]
 
 
+@_identity("P4", "nilpotency of the deformed exterior derivative", a="gform")
 def _check_p4(chart, env):
     a = env["a"]
     return [(a.d().d(), GeneralizedForm.zero(chart))]
 
 
+@_identity("P5", "graded Leibniz rule for the deformed exterior derivative", a="gform", b="gform")
 def _check_p5(chart, env):
     a, b = env["a"], env["b"]
     return [(a.wedge(b).d(),
              a.d().wedge(b) + _sign(a.degree) * a.wedge(b.d()))]
 
 
+@_identity("P6", "zero-form scaling of pair vectors composes through the wedge",
+           a0="gform0", b0="gform0", V="gvector")
 def _check_p6(chart, env):
     a0, b0, V = env["a0"], env["b0"], env["V"]
     return [(V.scaled_by(b0).scaled_by(a0), V.scaled_by(a0.wedge(b0)))]
 
 
+@_identity("P7", "contraction is a graded antiderivation of the wedge",
+           V="gvector", a="gform", b="gform")
 def _check_p7(chart, env):
     V, a, b = env["V"], env["a"], env["b"]
     return [(V.contract(a.wedge(b)),
              V.contract(a).wedge(b) + _sign(a.degree) * a.wedge(V.contract(b)))]
 
 
+@_identity("P8", "contraction is linear over ordinary scalar combinations",
+           V="gvector", W="gvector", mu="scalar", a="gform")
 def _check_p8(chart, env):
     V, W, mu, a = env["V"], env["W"], env["mu"], env["a"]
     return [((V + mu * W).contract(a), V.contract(a) + mu * W.contract(a))]
 
 
+@_identity("P9", "homotopy-formula derivative equals its expanded closed form",
+           V="gvector", a="gform")
 def _check_p9(chart, env):
     V, a = env["V"], env["a"]
     return [(V.lie_cartan(a), _homotopy_expansion(chart, V, a))]
 
 
+@_identity("P10", "contraction defect of the uncorrected derivative has closed form",
+           V="gvector", W="gvector", a="gform")
 def _check_p10(chart, env):
     V, W, a = env["V"], env["W"], env["a"]
     return [(cartan_residual(V, W, a), _expected_residual(V, W, a))]
 
 
+@_identity("P11", "corrected derivative: correction form agrees with closed form",
+           V="gvector", a="gform")
 def _check_p11(chart, env):
     V, a = env["V"], env["a"]
     return [(V.lie(a), V.lie_cartan(a) + _lie_correction(chart, V, a))]
 
 
+@_identity("P12", "corrected derivative satisfies the sign-free Leibniz rule",
+           V="gvector", a="gform", b="gform")
 def _check_p12(chart, env):
     V, a, b = env["V"], env["a"], env["b"]
     return [(V.lie(a.wedge(b)), V.lie(a).wedge(b) + a.wedge(V.lie(b)))]
 
 
+@_identity("P13", "corrected derivative and contraction commute into a contraction",
+           V="gvector", W="gvector", a="gform")
 def _check_p13(chart, env):
     V, W, a = env["V"], env["W"], env["a"]
     return [(V.lie(W.contract(a)) - W.contract(V.lie(a)),
              V.lie(W).contract(a))]
 
 
+@_identity("P14", "commuting corrected derivatives differentiates along the bracket",
+           V="gvector", W="gvector", a="gform")
 def _check_p14(chart, env):
     V, W, a = env["V"], env["W"], env["a"]
     return [(V.lie(W.lie(a)) - W.lie(V.lie(a)),
              V.commutator(W).lie(a))]
 
 
+@_identity("P15", "bracket antisymmetry and bilinearity over rational constants",
+           V="gvector", V2="gvector", W="gvector", c1="const", c2="const")
 def _check_p15(chart, env):
     V, V2, W = env["V"], env["V2"], env["W"]
     c1, c2 = env["c1"], env["c2"]
@@ -444,6 +474,7 @@ def _check_p15(chart, env):
     ]
 
 
+@_identity("P16", "bracket satisfies the Jacobi identity", U="gvector", V="gvector", W="gvector")
 def _check_p16(chart, env):
     U, V, W = env["U"], env["V"], env["W"]
     cyclic = (U.commutator(V.commutator(W))
@@ -452,6 +483,8 @@ def _check_p16(chart, env):
     return [(cyclic, GeneralizedVector.zero(chart))]
 
 
+@_identity("P17", "ordinary calculus embeds at zero scalar part and zero companion",
+           al="form", be="form", v="vector", w="vector")
 def _check_p17(chart, env):
     al, be, v, w = env["al"], env["be"], env["v"], env["w"]
     A = GeneralizedForm.from_form(al)
@@ -467,52 +500,6 @@ def _check_p17(chart, env):
         (Va.lie(Wa), embedded_bracket),
         (Va.commutator(Wa), embedded_bracket),
     ]
-
-
-IDENTITIES: dict[str, Identity] = {}
-
-
-def _identity(name, summary, slots, check):
-    IDENTITIES[name] = Identity(name, summary, tuple(slots), check)
-
-
-_identity("P1", "unit and zero laws of the pair wedge product",
-          [("a", "gform")], _check_p1)
-_identity("P2", "graded commutativity of the pair wedge product",
-          [("a", "gform"), ("b", "gform")], _check_p2)
-_identity("P3", "associativity of the pair wedge product",
-          [("a", "gform"), ("b", "gform"), ("c", "gform")], _check_p3)
-_identity("P4", "nilpotency of the deformed exterior derivative",
-          [("a", "gform")], _check_p4)
-_identity("P5", "graded Leibniz rule for the deformed exterior derivative",
-          [("a", "gform"), ("b", "gform")], _check_p5)
-_identity("P6", "zero-form scaling of pair vectors composes through the wedge",
-          [("a0", "gform0"), ("b0", "gform0"), ("V", "gvector")], _check_p6)
-_identity("P7", "contraction is a graded antiderivation of the wedge",
-          [("V", "gvector"), ("a", "gform"), ("b", "gform")], _check_p7)
-_identity("P8", "contraction is linear over ordinary scalar combinations",
-          [("V", "gvector"), ("W", "gvector"), ("mu", "scalar"), ("a", "gform")],
-          _check_p8)
-_identity("P9", "homotopy-formula derivative equals its expanded closed form",
-          [("V", "gvector"), ("a", "gform")], _check_p9)
-_identity("P10", "contraction defect of the uncorrected derivative has closed form",
-          [("V", "gvector"), ("W", "gvector"), ("a", "gform")], _check_p10)
-_identity("P11", "corrected derivative: correction form agrees with closed form",
-          [("V", "gvector"), ("a", "gform")], _check_p11)
-_identity("P12", "corrected derivative satisfies the sign-free Leibniz rule",
-          [("V", "gvector"), ("a", "gform"), ("b", "gform")], _check_p12)
-_identity("P13", "corrected derivative and contraction commute into a contraction",
-          [("V", "gvector"), ("W", "gvector"), ("a", "gform")], _check_p13)
-_identity("P14", "commuting corrected derivatives differentiates along the bracket",
-          [("V", "gvector"), ("W", "gvector"), ("a", "gform")], _check_p14)
-_identity("P15", "bracket antisymmetry and bilinearity over rational constants",
-          [("V", "gvector"), ("V2", "gvector"), ("W", "gvector"),
-           ("c1", "const"), ("c2", "const")], _check_p15)
-_identity("P16", "bracket satisfies the Jacobi identity",
-          [("U", "gvector"), ("V", "gvector"), ("W", "gvector")], _check_p16)
-_identity("P17", "ordinary calculus embeds at zero scalar part and zero companion",
-          [("al", "form"), ("be", "form"), ("v", "vector"), ("w", "vector")],
-          _check_p17)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,16 @@ Sums of products, the bulk of the exterior calculus above this module, go
 through one fused kernel, ``_sum_products``: it multiplies and accumulates
 every product into a single numerator map over the lcm of the operands'
 denominators (FLINT's "addmul into one accumulator") and canonicalises once,
-so no intermediate polynomial is built.  ``*`` shares its inner loop.
+so no intermediate polynomial is built.  ``*`` is its sum of one product.
 
 Values are immutable after construction and every operation returns a new
 object, so scalar fields are safe to share between threads.  Every
 arithmetic result is built by one trusted constructor, ``_from_ints``, which
 fills the three slots through their descriptors' cached setters and checks
-nothing; ``ScalarField(chart, terms)`` checks and cleans its input.
+nothing.  Every scalar given as (numerator, denominator, exponents) monomials
+is built by ``_from_monomials``: the checked public constructors, the session
+parser and the trial generator.  No other module reads the layout; the
+session's limits use the private size queries here.
 
 The chart also carries the deformation constant ``k`` used by the pair
 calculus built on top of this module; two charts are interchangeable only if
@@ -35,8 +38,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, attrgetter
 
 from .errors import ChartMismatchError
 
@@ -113,40 +117,34 @@ class ScalarField:
     ``ScalarField(chart, terms)`` takes a map from exponent vectors to
     rationals (``int``, ``Fraction`` or anything ``Fraction`` accepts),
     checks every exponent vector against the chart dimension and drops zero
-    coefficients.  Arithmetic results skip those checks: they are built from
-    integer numerators that are already clean.
+    coefficients, as ``from_terms`` does for a list of pairs.  Arithmetic
+    results skip those checks: they are built from integer numerators that
+    are already clean.
     """
 
     __slots__ = ("chart", "_num", "_den")
 
-    def __init__(self, chart: Chart, terms: Mapping[Exponents, RationalLike]):
+    def __new__(cls, chart: Chart, terms: Mapping[Exponents, RationalLike]):
+        return cls.from_terms(chart, terms.items())
+
+    @classmethod
+    def from_terms(cls, chart: Chart, pairs: Iterable[tuple[Exponents, RationalLike]]) -> "ScalarField":
+        """Canonical form of a raw term list: duplicates merged, zeros dropped.
+
+        Each exponent vector is checked against the chart, then its
+        coefficient is read, before the next pair.
+        """
         n = chart.dim
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
+        monomials = []
+        for exps, coeff in pairs:
             exps = tuple(exps)
             if len(exps) != n:
                 raise ChartMismatchError(
                     f"exponent vector {exps} has length {len(exps)}, chart dimension is {n}"
                 )
             c = Fraction(coeff)
-            if c:
-                clean[exps] = c
-        # Each coefficient is in lowest terms and ``den`` is the lcm of their
-        # denominators, so no prime divides both ``den`` and all numerators:
-        # the content is already one.
-        den = lcm(*(c.denominator for c in clean.values()))
-        _set_chart(self, chart)
-        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
-        _set_den(self, den)
-
-    @classmethod
-    def from_terms(cls, chart: Chart, pairs: Iterable[tuple[Exponents, RationalLike]]) -> "ScalarField":
-        """Canonical form of a raw term list: duplicates merged, zeros dropped."""
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in pairs:
-            exps = tuple(exps)
-            acc[exps] = acc.get(exps, Fraction(0)) + Fraction(coeff)
-        return cls(chart, acc)
+            monomials.append((c.numerator, c.denominator, exps))
+        return _from_monomials(chart, monomials)
 
     def __reduce__(self):
         return ScalarField, (self.chart, dict(self.terms))
@@ -205,7 +203,7 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             _require_same_chart(self.chart, other.chart)
-            return _product(self, other)
+            return _sum_products(self.chart, ((1, self, other),))
         if isinstance(other, (int, Fraction)):
             # a rational factor scales the numerators and the denominator
             num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
@@ -295,6 +293,19 @@ def _from_ints(chart: Chart, num: dict[Exponents, int], den: int) -> ScalarField
     return f
 
 
+def _from_monomials(chart: Chart, monomials: Sequence[tuple[int, int, Exponents]]) -> ScalarField:
+    """The sum of (numerator, denominator, exponents) monomials, merged over the lcm
+    of their denominators, which must be positive; exponents must fit the chart."""
+    den = lcm(*[d for _, d, _ in monomials])
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for num, d, exps in monomials:
+        acc[exps] = get(exps, 0) + (num if d == den else num * (den // d))
+    if 0 in acc.values():
+        acc = {e: c for e, c in acc.items() if c}
+    return _from_ints(chart, acc, den)
+
+
 def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
     """a + sign * b over the lcm of the two denominators."""
     da, db = a._den, b._den
@@ -328,12 +339,6 @@ def _mac(acc: dict[Exponents, int], a_num: dict[Exponents, int],
             acc[key] = get(key, 0) + ca * cb
 
 
-def _product(a: ScalarField, b: ScalarField) -> ScalarField:
-    acc: dict[Exponents, int] = {}
-    _mac(acc, a._num, b._num, 1)
-    return _from_ints(a.chart, {e: c for e, c in acc.items() if c}, a._den * b._den)
-
-
 def _sum_products(chart: Chart,
                   triples: Sequence[tuple[int, ScalarField, ScalarField]]) -> ScalarField:
     """The fused kernel: sum of sign * a * b over the triples, canonicalised once.
@@ -349,6 +354,33 @@ def _sum_products(chart: Chart,
     for (sign, a, b), d in zip(triples, dens):
         _mac(acc, a._num, b._num, sign * (den // d))
     return _from_ints(chart, {e: c for e, c in acc.items() if c}, den)
+
+
+# ---------------------------------------------------------------------------
+# Size queries.  The session's limits measure values through these, so that
+# no other module reads the layout.
+
+_numerators = attrgetter("_num")
+
+
+def _term_count(fields: Iterable[ScalarField]) -> int:
+    """The number of terms of all the fields together."""
+    return sum(map(len, map(_numerators, fields)))
+
+
+def _int_bits(f: ScalarField) -> int:
+    """The bit length of the largest integer of f, a numerator or its denominator."""
+    return max(f._den.bit_length(), max(map(int.bit_length, f._num.values()), default=0))
+
+
+def _max_exponent(f: ScalarField) -> int:
+    """The largest exponent in any monomial of f, 0 for none; no call runs per monomial."""
+    return max(chain.from_iterable(f._num), default=0)
+
+
+def _is_unit_monomial(f: ScalarField) -> bool:
+    """Whether f is 1 or -1 times a monomial."""
+    return f._den == 1 and list(f._num.values()) in ([1], [-1])
 
 
 # ---------------------------------------------------------------------------

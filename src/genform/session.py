@@ -82,7 +82,7 @@ once: a monomial term (``-3/4*x^2*y``: numbers and coordinates joined by
 ``*``, each with optional unary minus, coordinates with optional ``^``) is
 read straight into an integer numerator, denominator and exponent vector,
 and a run of monomial terms joined by ``+`` and ``-`` becomes one
-polynomial, summed over the lcm of the denominators and canonicalised once.
+polynomial through ``scalars._from_monomials``, canonicalised once.
 Every other term, and every operand combined with one, goes through the
 general rules, which give the same values and the same diagnostics as if no
 term had been read as a monomial.
@@ -93,15 +93,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
-from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
 from .forms import Form, VectorField
 from .generalized import GeneralizedForm, GeneralizedVector
-from .scalars import Chart, ScalarField, _from_ints, rational_str
+from .scalars import (
+    Chart,
+    ScalarField,
+    _from_monomials,
+    _int_bits,
+    _is_unit_monomial,
+    _max_exponent,
+    _term_count,
+    rational_str,
+)
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
 
@@ -161,32 +167,16 @@ def _fault(f: ScalarField) -> int:
     its numerator and its denominator, as the parser reads them back, and
     every exponent must be at most MAX_EXPONENT.
     """
-    num, den = f._num, f._den
-    if (den.bit_length() >= _PRINTABLE_BITS
-            or max(map(int.bit_length, num.values()), default=0) >= _PRINTABLE_BITS):
-        for c in num.values():
-            g = gcd(c, den)  # each coefficient prints in lowest terms
-            if abs(c) // g >= _UNPRINTABLE or den // g >= _UNPRINTABLE:
+    if _int_bits(f) >= _PRINTABLE_BITS:
+        for c in f.terms.values():  # each coefficient prints in lowest terms
+            if abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE:
                 return _WIDE
-    # every exponent of every monomial, flattened so that no call runs per monomial
-    return _HIGH if max(chain.from_iterable(num), default=0) > MAX_EXPONENT else 0
+    return _HIGH if _max_exponent(f) > MAX_EXPONENT else 0
 
 
-_numerators = attrgetter("_num")  # a scalar field's {exponents: numerator} map
-
-
-def _term_count(value: Value) -> int:
+def _value_terms(value: Value) -> int:
     """The terms of all coefficients of a value."""
-    if isinstance(value, ScalarField):
-        return len(value._num)
-    if isinstance(value, Form):
-        return sum(map(len, map(_numerators, value.components.values())))
-    return sum(map(len, map(_numerators, _scalars(value))))
-
-
-def _int_bits(f: ScalarField) -> int:
-    """The bit length of the largest integer of f, a numerator or its denominator."""
-    return max(f._den.bit_length(), max(map(int.bit_length, f._num.values()), default=0))
+    return _term_count(_scalars(value))
 
 
 def _value_bits(value: Value) -> int:
@@ -209,10 +199,7 @@ def _is_unit_term(value: Value) -> bool:
         coefficients = [c for c in value.components if c]
     else:
         return False
-    if len(coefficients) != 1:
-        return False
-    (c,) = coefficients
-    return c._den == 1 and list(c._num.values()) in ([1], [-1])
+    return len(coefficients) == 1 and _is_unit_monomial(*coefficients)
 
 
 def _as_form(value: ScalarField | Form) -> Form:
@@ -389,7 +376,7 @@ class _Parser:
             if name in self.definitions:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
             self._expect("=", "'='")
-            value = _collapse(self._expr())
+            value = self._expr()
             fault = max(map(_fault, _scalars(value)), default=0)
             if fault == _WIDE:
                 self._err(name_tok, "E_PARSE",
@@ -457,8 +444,8 @@ class _Parser:
     #
     # Most terms are monomials, ``3*x^2*y``.  ``_monomial`` reads them into a
     # (numerator, denominator, exponents) triple without building a
-    # ScalarField, and ``_expr`` adds a run of them into one numerator map,
-    # canonicalised once.  Any other term goes through ``_factor``/``_mul``/
+    # ScalarField, and ``_expr`` builds a run of them as one scalar with
+    # ``_from_monomials``.  Any other term goes through ``_factor``/``_mul``/
     # ``_add``, and the pending monomials are added up before it is combined,
     # so those rules see the operands, tokens and errors they always saw.
 
@@ -478,18 +465,20 @@ class _Parser:
                 monomials.append((-num if negate else num, den, exps))
             else:
                 if type(term) is tuple:
-                    term = self._scalar(*term)
+                    term = _from_monomials(self.chart, (term,))
                 if negate:
                     term = -term
                 if monomials:
-                    value = self._add_monomials(value, monomials)
+                    total = _from_monomials(self.chart, monomials)
+                    value = total if value is None else value + total
                     monomials = []
                 value = term if value is None else self._add(value, term, op)
             if self.tokens[self.pos].kind not in ("+", "-"):
                 break
             op = self._next()
         if monomials:
-            value = self._add_monomials(value, monomials)
+            total = _from_monomials(self.chart, monomials)
+            value = total if value is None else value + total
         self.depth -= 1
         return _collapse(value)
 
@@ -499,7 +488,7 @@ class _Parser:
         if value is None:
             value = self._factor()
         elif self.tokens[self.pos].kind == "*":
-            value = self._scalar(*value)
+            value = _from_monomials(self.chart, (value,))
         else:
             return value
         while self.tokens[self.pos].kind == "*":
@@ -557,22 +546,6 @@ class _Parser:
             self.pos += 1
         return (-num if negative else num), den, tuple(exps)
 
-    def _scalar(self, num: int, den: int, exps: tuple[int, ...]) -> ScalarField:
-        return _from_ints(self.chart, {exps: num} if num else {}, den)
-
-    def _add_monomials(self, value: ScalarField | None,
-                       monomials: list[tuple[int, int, tuple[int, ...]]]) -> ScalarField:
-        """value plus the monomials, which are summed over the lcm of their denominators."""
-        den = lcm(*[d for _, d, _ in monomials])
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for num, d, exps in monomials:
-            acc[exps] = get(exps, 0) + (num if d == den else num * (den // d))
-        if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
-        total = _from_ints(self.chart, acc, den)
-        return total if value is None else value + total
-
     def _factor(self) -> Value:
         negate = False
         while self._peek().kind == "-":  # a loop, not recursion: "- - - x" is flat
@@ -629,7 +602,7 @@ class _Parser:
         """
         if _is_unit_term(a) or _is_unit_term(b):
             return
-        m, n = _term_count(a), _term_count(b)
+        m, n = _value_terms(a), _value_terms(b)
         if m * n > MAX_PRODUCT_TERMS:
             self._err(tok, "E_PARSE",
                       f"product of a {m}-term and a {n}-term operand "
@@ -644,7 +617,7 @@ class _Parser:
         tok = self._next()
         if tok.kind == "int":
             num, den = self._ratio(tok)
-            return self._scalar(num, den, (0,) * self.chart.dim)
+            return _from_monomials(self.chart, ((num, den, (0,) * self.chart.dim),))
         if tok.kind == "ident":
             text = tok.text
             if text in OP_NAMES and self._peek().kind == "(":

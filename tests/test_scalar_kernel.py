@@ -5,6 +5,9 @@ zero coefficients, repeated exponent vectors and fractions written with
 negative denominators.  Every operation must agree exactly with
 ``reference_scalars`` and leave the canonical layout: a positive
 denominator, no zero numerator, content one, and denominator one for zero.
+The monomial builder ``_from_monomials``, which every construction from
+(numerator, denominator, exponents) triples goes through, gets the same term
+lists.
 
 The fused sum-of-products kernel is checked the same way, and the form and
 vector operations built on it are checked against naive term-by-term
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 import reference_scalars as ref
 from genform import Chart, ChartMismatchError, Form, ScalarField, VectorField
-from genform.scalars import _sum_products
+from genform.scalars import _from_monomials, _sum_products
 
 NAMES = ("x", "y", "z", "w")
 
@@ -89,7 +92,26 @@ def assert_matches(f, expected, chart):
 @given(cases(), st.booleans())
 def test_construction_matches_reference(case, public_dict):
     chart, (pairs, _) = case
-    assert_matches(_build(chart, pairs, public_dict), ref.normalize(chart.dim, pairs), chart)
+    expected = ref.normalize(chart.dim, pairs)
+    assert_matches(_build(chart, pairs, public_dict), expected, chart)
+    monomials = [(Fraction(c).numerator, Fraction(c).denominator, exps) for exps, c in pairs]
+    assert_matches(_from_monomials(chart, monomials), expected, chart)
+
+
+def test_from_monomials_matches_reference_on_edge_cases():
+    chart = Chart(("x", "y"))
+    x, y, one = (1, 0), (0, 1), (0, 0)
+    for monomials in [
+        [],
+        [(0, 1, x), (0, 7, one)],                      # zero numerators only
+        [(1, 2, x), (-3, 6, x)],                       # a cancelling sum over mixed denominators
+        [(1, 2, x), (1, 3, x), (1, 6, x)],             # repeated exponents summing to a whole x
+        [(2, 4, x), (3, 9, y), (0, 5, one), (-5, 1, one), (1, 4, y), (-1, 4, y)],
+        [(6, 4, x), (3, 2, y)],                        # a common factor to divide out
+    ]:
+        expected = ref.normalize(2, [(exps, Fraction(num, den)) for num, den, exps in monomials])
+        assert_matches(_from_monomials(chart, monomials), expected, chart)
+    assert _from_monomials(chart, [(1, 2, x), (1, 3, x), (1, 6, x)]) == chart.coordinate(0)
 
 
 @kernel_settings
@@ -155,6 +177,13 @@ def test_public_constructor_keeps_its_checks():
     f = ScalarField(chart, {(1, 0): "3/6", (0, 1): 0, (0, 0): Fraction(-4, 8)})
     assert f.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2)}
     assert (f._num, f._den) == ({(1, 0): 1, (0, 0): -1}, 2)
+    # both constructors check a pair's exponent vector before its coefficient
+    for build in (lambda pairs: ScalarField(chart, dict(pairs)),
+                  lambda pairs: ScalarField.from_terms(chart, pairs)):
+        with pytest.raises(ChartMismatchError):
+            build([((1,), "not a number")])
+        with pytest.raises(ValueError):
+            build([((1, 0), "not a number"), ((1,), 2)])
 
 
 def test_values_stay_immutable_and_copyable():
