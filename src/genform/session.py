@@ -4,7 +4,7 @@ A session file is a chart declaration followed by named definitions::
 
     chart x, y k=1/2          # coordinates, then the deformation constant
     f  = x^2*y + 1/3          # scalar: polynomial in the coordinates
-    al = x*dx^dy + 3*dy       # form: sum of coefficient * d-blocks
+    al = x*dx + 3*dy          # form: sum of coefficient * d-blocks
     v  = y*@x + x^2*@y        # vector field: sum of coefficient * @-blocks
     a  = [x*dy ; dx^dy]       # pair form: [ordinary part ; companion]
     V  = {v ; f}              # pair vector: {vector part ; scalar part}
@@ -70,22 +70,22 @@ is an E_PARSE error:
 
 The limits on term products and on the integers of a product skip a factor
 of a single term whose coefficient is 1 or -1 times a monomial (``dx``,
-``dx^dy``, ``@x``, ``-x*dy``), which changes neither the term count nor the
+``dx^dy``, ``@x``, ``-x*dy``, and ``x`` in a product of numbers and
+coordinates such as ``5*x``), which changes neither the term count nor the
 integers of the other operand.  An operation call is checked for the kinds
 of its operands before the product limits, so a call with operands of the
 wrong kinds is E_TYPE whatever their size.
 
-Parsing makes two passes.  The tokenizer runs one regular expression over
-the text, each match being the whitespace and comments before a token and
-the token itself.  The recursive-descent parser then builds every value
-once: a monomial term (``-3/4*x^2*y``: numbers and coordinates joined by
-``*``, each with optional unary minus, coordinates with optional ``^``) is
-read straight into an integer numerator, denominator and exponent vector,
-and a run of monomial terms joined by ``+`` and ``-`` becomes one
-polynomial through ``scalars._from_monomials``, canonicalised once.
-Every other term, and every operand combined with one, goes through the
-general rules, which give the same values and the same diagnostics as if no
-term had been read as a monomial.
+The tokenizer runs one regular expression over the text, each match being
+the whitespace and comments before a token and the token itself.  A token
+keeps its offset in the text, turned into ``line:col`` only when a
+diagnostic is raised.  ``_factor`` is the only reader of a factor: a number
+not followed by ``^``, or a coordinate with its ``^`` chain, is read as a
+monomial (numerator and denominator in lowest terms, exponents) without
+building a ScalarField.  ``_term`` multiplies two monomials directly, under
+the integer limit of products, and turns a monomial into a ScalarField only
+when it meets any other factor; ``_expr`` adds a run of monomial terms with
+one ``scalars._from_monomials`` call.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import NamedTuple, Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
@@ -110,6 +112,7 @@ from .scalars import (
 )
 
 Value = Union[ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector]
+_Monomial = tuple[int, int, tuple[int, ...]]  # numerator, denominator, exponents
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
@@ -225,8 +228,7 @@ def _collapse(value: Value) -> Value:
 class _Token(NamedTuple):
     kind: str  # "ident", "int", "eof", or the punctuation character itself
     text: str
-    line: int
-    col: int
+    off: int  # index of its first character in the text
 
 
 # One match per token: the whitespace, newlines and comments before it, then
@@ -242,37 +244,30 @@ _TOKEN_RE = re.compile(r"""
 _GROUP_KINDS = (None, "ident", "int")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``, ending in one ``eof`` token.
+def _line_col(text: str, off: int) -> tuple[int, int]:
+    """The line and column, both counted from one, of character ``off`` of ``text``."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
-    Columns count characters from one.  A comment does not advance the
-    column, so after a comment on the last line ``eof`` sits at its ``#``.
-    """
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` and an ``eof``, at the ``#`` of a comment on the last line."""
     tokens: list[_Token] = []
     append = tokens.append
     make = tuple.__new__  # _Token(...) without its keyword-handling __new__
-    line, line_start = 1, 0  # line_start: index of the current line's first character
     for m in _TOKEN_RE.finditer(text):
         group = m.lastindex
         start = m.start(group)
-        skipped = m.start()
-        if start != skipped:
-            newline = text.rfind("\n", skipped, start)
-            if newline >= 0:
-                line += text.count("\n", skipped, start)
-                line_start = newline + 1
         if group == 3:
             char = m[3]
-            append(make(_Token, (char, char, line, start - line_start + 1)))
+            append(make(_Token, (char, char, start)))
         elif group < 3:
-            append(make(_Token, (_GROUP_KINDS[group], m[group], line, start - line_start + 1)))
+            append(make(_Token, (_GROUP_KINDS[group], m[group], start)))
         elif group == 5:
-            raise ParseError(line, start - line_start + 1, "E_LEX",
+            raise ParseError(*_line_col(text, start), "E_LEX",
                              f"unexpected character {m[5]!r}")
         else:
-            comment = text.find("#", line_start)
-            end = comment if comment >= 0 else start
-            append(_Token("eof", "", line, end - line_start + 1))
+            comment = text.find("#", text.rfind("\n", 0, start) + 1)
+            append(_Token("eof", "", comment if comment >= 0 else start))
             break
     return tokens
 
@@ -301,7 +296,7 @@ def render_session(chart: Chart, definitions) -> str:
 
 
 def parse_session(text: str) -> Session:
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 def substitute(value: Value, point) -> Value:
@@ -326,8 +321,9 @@ def substitute(value: Value, point) -> Value:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.chart: Chart | None = None  # set by _parse_chart
         self.coords: dict[str, int] = {}  # coordinate name -> index, set by _parse_chart
@@ -349,7 +345,7 @@ class _Parser:
         return tok
 
     def _err(self, tok: _Token, code: str, message: str):
-        raise ParseError(tok.line, tok.col, code, message)
+        raise ParseError(*_line_col(self.text, tok.off), code, message)
 
     def _expect(self, kind: str, what: str) -> _Token:
         tok = self._next()
@@ -371,7 +367,7 @@ class _Parser:
                 self._err(name_tok, "E_REDEF", f"'{name}' is a reserved operation name")
             if name in self.chart.names:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already a coordinate name")
-            if len(name) > 1 and name[0] == "d" and name[1:] in self.chart.names:
+            if self._is_differential(name_tok):
                 self._err(name_tok, "E_REDEF", f"'{name}' collides with a coordinate differential")
             if name in self.definitions:
                 self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
@@ -422,7 +418,7 @@ class _Parser:
         return -value if negative else value
 
     def _ratio(self, int_tok: _Token) -> tuple[int, int]:
-        """The literal ``INT ("/" INT)?`` that starts at ``int_tok``, as (num, den)."""
+        """The literal ``INT ("/" INT)?`` at ``int_tok`` as (num, den) in lowest terms."""
         num = self._literal(int_tok)
         if self.tokens[self.pos].kind == "/":
             self.pos += 1
@@ -430,7 +426,8 @@ class _Parser:
             den = self._literal(den_tok)
             if den == 0:
                 self._err(den_tok, "E_PARSE", "zero denominator")
-            return num, den
+            g = gcd(num, den)
+            return num // g, den // g
         return num, 1
 
     def _literal(self, tok: _Token) -> int:
@@ -440,14 +437,7 @@ class _Parser:
                       f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
         return int(digits)
 
-    # -- expressions ---------------------------------------------------------
-    #
-    # Most terms are monomials, ``3*x^2*y``.  ``_monomial`` reads them into a
-    # (numerator, denominator, exponents) triple without building a
-    # ScalarField, and ``_expr`` builds a run of them as one scalar with
-    # ``_from_monomials``.  Any other term goes through ``_factor``/``_mul``/
-    # ``_add``, and the pending monomials are added up before it is combined,
-    # so those rules see the operands, tokens and errors they always saw.
+    # -- expressions: see the module docstring ------------------------------
 
     def _expr(self) -> Value:
         if self.depth == MAX_NESTING:
@@ -455,7 +445,7 @@ class _Parser:
                       f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
         value = None  # the sum of the terms before the pending monomials
-        monomials: list[tuple[int, int, tuple[int, ...]]] = []
+        monomials: list[_Monomial] = []
         op = None
         while True:
             term = self._term()
@@ -464,8 +454,7 @@ class _Parser:
                 num, den, exps = term
                 monomials.append((-num if negate else num, den, exps))
             else:
-                if type(term) is tuple:
-                    term = _from_monomials(self.chart, (term,))
+                term = self._as_value(term)
                 if negate:
                     term = -term
                 if monomials:
@@ -482,83 +471,60 @@ class _Parser:
         self.depth -= 1
         return _collapse(value)
 
-    def _term(self) -> Value | tuple[int, int, tuple[int, ...]]:
-        """A term's value, or its monomial triple when every factor is a number or coordinate."""
-        value = self._monomial()
-        if value is None:
-            value = self._factor()
-        elif self.tokens[self.pos].kind == "*":
-            value = _from_monomials(self.chart, (value,))
-        else:
-            return value
-        while self.tokens[self.pos].kind == "*":
-            op = self._next()
-            value = self._mul(value, self._factor(), op)
+    def _as_value(self, value: Value | _Monomial) -> Value:
+        return _from_monomials(self.chart, (value,)) if type(value) is tuple else value
+
+    def _term(self) -> Value | _Monomial:
+        """A term's value, or its monomial when every factor is a number or coordinate."""
+        tokens = self.tokens
+        value = self._factor()
+        while tokens[self.pos].kind == "*":
+            op = tokens[self.pos]
+            self.pos += 1
+            factor = self._factor()
+            if type(value) is not tuple or type(factor) is not tuple:
+                value = self._mul(self._as_value(value), self._as_value(factor), op)
+                continue
+            (an, ad, ae), (bn, bd, be) = value, factor
+            if not (ad == 1 and an in (1, -1) or bd == 1 and bn in (1, -1)):
+                self._check_bits(max(an.bit_length(), ad.bit_length()),
+                                 max(bn.bit_length(), bd.bit_length()), op)
+            g, h = gcd(an, bd), gcd(bn, ad)  # keeps the product in lowest terms
+            value = (an // g) * (bn // h), (ad // h) * (bd // g), tuple(map(add, ae, be))
         return value
 
-    def _monomial(self) -> tuple[int, int, tuple[int, ...]] | None:
-        """Read the run ``-* (INT ("/" INT)? | COORD ("^" INT)*)`` joined by ``*``.
-
-        Returns (numerator, denominator, exponents) and stops before the first
-        ``*`` whose factor is anything else, a number raised by ``^``
-        included, so ``_term`` reads that factor generically and ``_power``
-        bounds it; returns None, having read nothing, when the first factor
-        is.  Tokens are checked in the order ``_factor`` checks them.
-        """
+    def _factor(self) -> Value | _Monomial:
+        """A factor's value, or its monomial for a number not raised by ``^`` or a coordinate."""
         tokens = self.tokens
-        num, den, negative = 1, 1, False
-        exps = [0] * self.chart.dim
-        begin = self.pos
-        while True:
-            start = pos = self.pos
-            while tokens[pos].kind == "-":
-                pos += 1
-            tok = tokens[pos]
-            if tok.kind == "int":
-                self.pos = pos + 1
-                base_num, base_den = self._ratio(tok)
-                coord = None
-                if tokens[self.pos].kind == "^":
-                    tok = None
-            elif tok.kind == "ident" and tok.text in self.coords:
-                self.pos = pos + 1
-                coord = self.coords[tok.text]
-            else:
-                tok = None
-            if tok is None:
-                if start == begin:
-                    self.pos = begin
-                    return None
-                self.pos = start - 1  # back to the "*" before this factor
-                break
-            if coord is None:
-                num *= base_num
-                den *= base_den
-            else:
-                power = 1
-                while tokens[self.pos].kind == "^":
-                    self.pos += 1
-                    power *= self._exponent()
-                exps[coord] += power
-            negative ^= (pos - start) & 1
-            if tokens[self.pos].kind != "*":
-                break
-            self.pos += 1
-        return (-num if negative else num), den, tuple(exps)
-
-    def _factor(self) -> Value:
-        negate = False
-        while self._peek().kind == "-":  # a loop, not recursion: "- - - x" is flat
-            self._next()
-            negate = not negate
-        value = self._atom()
-        while self._peek().kind == "^":
-            caret = self._peek()
+        start = pos = self.pos
+        while tokens[pos].kind == "-":  # a loop, not recursion: "- - - x" is flat
+            pos += 1
+        negate = (pos - start) & 1
+        tok = tokens[pos]
+        self.pos = pos + 1
+        if tok.kind == "int":
+            num, den = self._ratio(tok)
+            if tokens[self.pos].kind != "^":
+                return (-num if negate else num), den, (0,) * self.chart.dim
+            value = _from_monomials(self.chart, ((num, den, (0,) * self.chart.dim),))
+        elif tok.kind == "ident" and tok.text in self.coords:
+            power = 1
+            while tokens[self.pos].kind == "^":
+                self.pos += 1
+                power *= self._exponent()
+            exps = [0] * self.chart.dim
+            exps[self.coords[tok.text]] = power
+            return (-1 if negate else 1), 1, tuple(exps)
+        else:
+            self.pos = pos
+            value = self._atom()
+        while tokens[self.pos].kind == "^":
+            caret = tokens[self.pos]
             if not isinstance(value, ScalarField):
                 self._err(caret, "E_TYPE",
                           "'^' raises a scalar to an integer power; basis differentials "
                           "chain directly (dx^dy) and general forms use wedge(...)")
-            self._next()
+            self.pos += 1
             value = self._power(value, self._exponent(), caret)
         return -value if negate else value
 
@@ -607,25 +573,25 @@ class _Parser:
             self._err(tok, "E_PARSE",
                       f"product of a {m}-term and a {n}-term operand "
                       f"exceeds {MAX_PRODUCT_TERMS} term products")
-        i, j = _value_bits(a), _value_bits(b)
+        self._check_bits(_value_bits(a), _value_bits(b), tok)
+
+    def _check_bits(self, i: int, j: int, tok: _Token) -> None:
+        """Refuse a product whose operands' largest integers, of i and j bits,
+        pass ``_PRODUCT_BITS`` bits together."""
         if i + j > _PRODUCT_BITS:
             self._err(tok, "E_PARSE",
                       f"product of operands with {i}-bit and {j}-bit integers "
                       f"exceeds {_PRODUCT_BITS} bits")
 
     def _atom(self) -> Value:
+        """Any factor but a number or a coordinate, which ``_factor`` reads."""
         tok = self._next()
-        if tok.kind == "int":
-            num, den = self._ratio(tok)
-            return _from_monomials(self.chart, ((num, den, (0,) * self.chart.dim),))
         if tok.kind == "ident":
             text = tok.text
             if text in OP_NAMES and self._peek().kind == "(":
                 return self._opcall(tok)
             if text in self.definitions:
                 return self.definitions[text]
-            if text in self.coords:
-                return self.chart.coordinate(self.coords[text])
             if self._is_differential(tok):
                 return self._dblock(tok)
             self._err(tok, "E_NAME", f"unknown name '{text}'")

@@ -56,11 +56,19 @@ def test_eval_undefined_name(session_file, capsys):
 
 
 def test_eval_bad_point(session_file, capsys):
-    path = session_file("chart x, y\nf = x\n")
-    for bad in ("x=1", "x=1,y=2,z=3", "x=1,x=2", "x=1,y=oops"):
+    path = session_file("chart x, y\nf = x\ng = x^1000\n")
+    for bad in ("x=1", "x=1,y=2,z=3", "x=1,x=2", "x=1,y=oops", "x=1.5,y=1", "x=1e7,y=1",
+                "x=1_0,y=1", "x=+1,y=1", "x=1/0,y=1", f"x={'9' * (MAX_LITERAL_DIGITS + 1)},y=1"):
         status, _, err = run(capsys, ["eval", path, "f", "--at", bad])
         assert status == 2
         assert "E_POINT" in err
+    # values at the point that would not print: refused after the work, or before it
+    for bad in ("x=100000,y=1", "x=1e200000,y=1", f"x={'9' * MAX_LITERAL_DIGITS},y=1"):
+        status, out, err = run(capsys, ["eval", path, "g", "--at", bad])
+        assert (status, out) == (2, "x^1000\n")
+        assert err.startswith("genform: E_POINT: ") and err.count("\n") == 1
+    status, out, _ = run(capsys, ["eval", path, "g", "--at", f"x=-{'0' * 5000}2/0004,y=1"])
+    assert (status, out) == (0, f"x^1000\n1/{2 ** 1000}\n")
 
 
 def test_parse_error_diagnostic_format(session_file, capsys):

@@ -444,13 +444,15 @@ def test_value_with_an_exponent_above_the_limit_is_refused_at_its_name():
 
 
 def test_product_integer_limit_stops_a_chain_of_wide_factors():
-    # a has 13288-bit integers: a*a (26576 bits) is allowed, (a*a)*a is refused at the '*'
+    # a has 13288-bit integers: a*a (26576 bits) is allowed, (a*a)*a is refused at the '*';
+    # a chain of literals obeys the same limit
     nines = "9" * 4000
-    for count in (3, 60):
+    for body, col in [("*".join(["a"] * 3), 8), ("*".join(["a"] * 60), 8),
+                      (f"{nines}*{nines}*{nines}*x", 8006), ("*".join([nines] * 60), 8006)]:
         with pytest.raises(ParseError) as info:
-            parse_session(f"chart x\na = {nines}*x\nb = " + "*".join(["a"] * count))
+            parse_session(f"chart x\na = {nines}*x\nb = " + body)
         assert info.value.code == "E_PARSE"
-        assert (info.value.line, info.value.col) == (3, 8)  # the second '*'
+        assert (info.value.line, info.value.col) == (3, col)  # the second '*'
         assert "26576-bit and 13288-bit integers" in info.value.message
     with pytest.raises(ParseError) as info:
         parse_session(f"chart x, y\na = {nines}*x\nc = wedge(a*a*dx, a*dy)")

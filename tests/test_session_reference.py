@@ -10,7 +10,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import reference_session
 from genform import ParseError, parse_session, render_session
@@ -78,8 +78,19 @@ def test_parser_agrees_with_reference_on_mutated_sessions(text):
     _assert_agrees(text)
 
 
+# Factor order: unary minus, '^' chains, and numbers or coordinates next to other factors;
+# then positions after a trailing comment on the last line, '\r\n' line ends and a tab.
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(short_texts)
+@example("chart x, y\na = -2^2*x\nb = - -x^2^3*y\nc = x*2^3\ng = (x)^2*3\nh = 1/2*x^0*y")
+@example("chart x, y\na = x*dy\nb = 2*x*a*3*y\nc = a*2*x\ng = x*-a")
+@example("chart x, y\na = x*dy\nb = x*-")
+@example("chart x, y\na = x*dy\nb = a*2*x^2*dx")
+@example("chart x, y\na = x +  # trailing comment")
+@example("chart x, y\r\na = x\r\nb = 2*\r\n )")
+@example("chart x, y\r\na = x\r\nb = $")
+@example("chart x, y\na =\tx\t*\t")
+@example("chart x, y\na =\tx\t%")
 def test_parser_agrees_with_reference_on_short_text(text):
     _assert_agrees(text)
 
