@@ -224,20 +224,33 @@ class ScalarField:
         return _from_ints(self.chart, num, self._den)
 
     def eval_at(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point (one value per coordinate)."""
+        """Exact value at a rational point (one value per coordinate).
+
+        The terms are summed as integers over one common denominator, ``_den``
+        times ``q ** top`` for each coordinate whose value has denominator
+        ``q`` and whose largest exponent is ``top``, so the sum is reduced to
+        lowest terms once.
+        """
         values = [Fraction(v) for v in point]
         if len(values) != self.chart.dim:
             raise ValueError(
                 f"point has {len(values)} entries, chart dimension is {self.chart.dim}"
             )
+        num = self._num
+        den = self._den
+        scales = []  # per coordinate: exponent e -> p ** e * q ** (top - e)
+        for i, v in enumerate(values):
+            used = {exps[i] for exps in num}
+            top = max(used, default=0)
+            p, q = v.numerator, v.denominator
+            scales.append({e: p ** e * q ** (top - e) for e in used})
+            den *= q ** top
         total = 0
-        for exps, c in self._num.items():
-            term = c
-            for e, v in zip(exps, values):
-                if e:
-                    term *= v ** e
-            total += term
-        return Fraction(total, self._den)
+        for exps, c in num.items():
+            for scale, e in zip(scales, exps):
+                c *= scale[e]
+            total += c
+        return Fraction(total, den)
 
     def __str__(self) -> str:
         return poly_str(self)

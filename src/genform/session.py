@@ -76,16 +76,20 @@ integers of the other operand.  An operation call is checked for the kinds
 of its operands before the product limits, so a call with operands of the
 wrong kinds is E_TYPE whatever their size.
 
-The tokenizer runs one regular expression over the text, each match being
-the whitespace and comments before a token and the token itself.  A token
-keeps its offset in the text, turned into ``line:col`` only when a
-diagnostic is raised.  ``_factor`` is the only reader of a factor: a number
-not followed by ``^``, or a coordinate with its ``^`` chain, is read as a
-monomial (numerator and denominator in lowest terms, exponents) without
-building a ScalarField.  ``_term`` multiplies two monomials directly, under
-the integer limit of products, and turns a monomial into a ScalarField only
-when it meets any other factor; ``_expr`` adds a run of monomial terms with
-one ``scalars._from_monomials`` call.
+The tokenizer is one ``findall`` of one regular expression, each match being
+the whitespace and comments before a token and the token's text in its only
+group; the list ends in the empty ``eof`` text.  A character no token starts
+with is matched with the rest of the text, so lexing stops there, and E_LEX
+is raised before any parsing.  The parser reads the token texts by index and
+keeps the index of a token it may report at; only a raised diagnostic turns
+an index into an offset, by matching the same expression again up to that
+token, and the offset into ``line:col``.  ``_factor`` is the only reader of
+a factor: a number not followed by ``^``, or a coordinate with its ``^``
+chain, is read as a monomial (numerator and denominator in lowest terms,
+exponents) without building a ScalarField.  ``_term`` multiplies two
+monomials directly, under the integer limit of products, and turns a
+monomial into a ScalarField only when it meets any other factor; ``_expr``
+adds a run of monomial terms with one ``scalars._from_monomials`` call.
 """
 
 from __future__ import annotations
@@ -93,9 +97,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import add
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
 from .forms import Form, VectorField
@@ -225,23 +230,19 @@ def _collapse(value: Value) -> Value:
     return value
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "int", "eof", or the punctuation character itself
-    text: str
-    off: int  # index of its first character in the text
-
-
 # One match per token: the whitespace, newlines and comments before it, then
-# exactly one of the groups below.
+# the token's text in the only group.  A character no token starts with takes
+# the rest of the text with it, so it is the last token before the empty one
+# that ``\Z`` matches.
 _TOKEN_RE = re.compile(r"""
     (?:[ \t\r\n]+|\#[^\n]*)*
-    (?:([A-Za-z_][A-Za-z_0-9]*)   # 1: identifier
-      |(\d+)                      # 2: integer
-      |([@,=()\[\]{};+\-*^/])     # 3: punctuation, its own kind
-      |(\Z)                       # 4: end of text
-      |(.))                       # 5: a character no token starts with
+    ( [A-Za-z_][A-Za-z_0-9]*      # identifier
+    | \d+                         # integer
+    | [@,=()\[\]{};+\-*^/]        # punctuation
+    | \Z                          # end of text
+    | .(?s:.*))                   # a character no token starts with, and the rest
 """, re.VERBOSE)
-_GROUP_KINDS = (None, "ident", "int")
+_PUNCTUATION = frozenset("@,=()[]{};+-*^/")
 
 
 def _line_col(text: str, off: int) -> tuple[int, int]:
@@ -249,26 +250,36 @@ def _line_col(text: str, off: int) -> tuple[int, int]:
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text`` and an ``eof``, at the ``#`` of a comment on the last line."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    make = tuple.__new__  # _Token(...) without its keyword-handling __new__
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        start = m.start(group)
-        if group == 3:
-            char = m[3]
-            append(make(_Token, (char, char, start)))
-        elif group < 3:
-            append(make(_Token, (_GROUP_KINDS[group], m[group], start)))
-        elif group == 5:
-            raise ParseError(*_line_col(text, start), "E_LEX",
-                             f"unexpected character {m[5]!r}")
-        else:
-            comment = text.find("#", text.rfind("\n", 0, start) + 1)
-            append(_Token("eof", "", comment if comment >= 0 else start))
-            break
+def _token_offset(text: str, index: int) -> int:
+    """The offset in ``text`` of token ``index`` of ``_tokenize(text)``.
+
+    The empty ``eof`` token sits at the ``#`` of a comment on the last line,
+    else at the end of the text.
+    """
+    match = next(islice(_TOKEN_RE.finditer(text), index, None))
+    start = match.start(1)
+    if match[1]:
+        return start
+    comment = text.find("#", text.rfind("\n", 0, start) + 1)
+    return comment if comment >= 0 else start
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending in the empty ``eof`` text.
+
+    Every token the parser sees is then an identifier, an integer, one
+    punctuation character or the empty ``eof``, so ``str.isidentifier`` and
+    ``str.isdecimal`` tell them apart.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1:
+        last = tokens[-2]
+        if not last:  # after trailing whitespace or a comment, ``\Z`` matches again
+            del tokens[-1]
+        elif not (last.isdecimal() or last in _PUNCTUATION
+                  or last.isascii() and last.isidentifier()):
+            raise ParseError(*_line_col(text, len(text) - len(last)), "E_LEX",
+                             f"unexpected character {last[0]!r}")
     return tokens
 
 
@@ -332,108 +343,116 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
     #
-    # The token list ends in its ``eof`` sentinel, and every rule that
-    # consumes ``eof`` raises, so the parser never looks past the sentinel:
-    # lookahead indexes the list directly.
+    # A token is its text, and the parser keeps the index of a token it may
+    # report at.  The token list ends in the empty ``eof`` text, and every
+    # rule that consumes ``eof`` raises, so the parser never looks past it.
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def _err(self, index: int, code: str, message: str):
+        raise ParseError(*_line_col(self.text, _token_offset(self.text, index)), code, message)
 
-    def _next(self) -> _Token:
+    def _expected(self, what: str):
+        """Raise E_PARSE at the current token, which is not ``what``."""
         tok = self.tokens[self.pos]
+        self._err(self.pos, "E_PARSE", f"expected {what}, found {tok!r}" if tok
+                  else f"expected {what} at end of input")
+
+    def _expect(self, punct: str) -> None:
+        if self.tokens[self.pos] != punct:
+            self._expected(f"'{punct}'")
         self.pos += 1
-        return tok
 
-    def _err(self, tok: _Token, code: str, message: str):
-        raise ParseError(*_line_col(self.text, tok.off), code, message)
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
-            self._err(tok, "E_PARSE", f"expected {what}, found {tok.text!r}" if tok.text
-                      else f"expected {what} at end of input")
-        return tok
+    def _int(self, what: str) -> int:
+        """The index of the integer token read next, which is ``what``."""
+        at = self.pos
+        if not self.tokens[at].isdecimal():
+            self._expected(what)
+        self.pos = at + 1
+        return at
 
     # -- session structure -------------------------------------------------
 
     def parse(self) -> Session:
         self._parse_chart()
-        while self._peek().kind != "eof":
-            name_tok = self._next()
-            if name_tok.kind != "ident":
-                self._err(name_tok, "E_PARSE", f"expected a definition name, found {name_tok.text!r}")
-            name = name_tok.text
+        tokens = self.tokens
+        while tokens[self.pos]:
+            at = self.pos
+            name = tokens[at]
+            if not name.isidentifier():
+                self._err(at, "E_PARSE", f"expected a definition name, found {name!r}")
+            self.pos = at + 1
             if name in OP_NAMES:
-                self._err(name_tok, "E_REDEF", f"'{name}' is a reserved operation name")
+                self._err(at, "E_REDEF", f"'{name}' is a reserved operation name")
             if name in self.chart.names:
-                self._err(name_tok, "E_REDEF", f"'{name}' is already a coordinate name")
-            if self._is_differential(name_tok):
-                self._err(name_tok, "E_REDEF", f"'{name}' collides with a coordinate differential")
+                self._err(at, "E_REDEF", f"'{name}' is already a coordinate name")
+            if self._is_differential(name):
+                self._err(at, "E_REDEF", f"'{name}' collides with a coordinate differential")
             if name in self.definitions:
-                self._err(name_tok, "E_REDEF", f"'{name}' is already defined")
-            self._expect("=", "'='")
+                self._err(at, "E_REDEF", f"'{name}' is already defined")
+            self._expect("=")
             value = self._expr()
             fault = max(map(_fault, _scalars(value)), default=0)
             if fault == _WIDE:
-                self._err(name_tok, "E_PARSE",
+                self._err(at, "E_PARSE",
                           f"value of '{name}' has a coefficient of more than "
                           f"{MAX_LITERAL_DIGITS} digits")
             if fault == _HIGH:
-                self._err(name_tok, "E_PARSE",
+                self._err(at, "E_PARSE",
                           f"value of '{name}' has an exponent above {MAX_EXPONENT}")
             self.definitions[name] = value
         return Session(self.chart, self.definitions)
 
     def _parse_chart(self):
-        tok = self._next()
-        if tok.kind != "ident" or tok.text != "chart":
-            self._err(tok, "E_PARSE", "a session must start with a 'chart' declaration")
+        tokens = self.tokens
+        if tokens[0] != "chart":
+            self._err(0, "E_PARSE", "a session must start with a 'chart' declaration")
+        self.pos = 1
         names: list[str] = []
         while True:
-            nt = self._expect("ident", "a coordinate name")
-            if nt.text in OP_NAMES:
-                self._err(nt, "E_PARSE", f"coordinate name '{nt.text}' is reserved")
-            if nt.text in names:
-                self._err(nt, "E_PARSE", f"duplicate coordinate '{nt.text}'")
-            names.append(nt.text)
-            if self._peek().kind == ",":
-                self._next()
-                continue
-            break
+            at = self.pos
+            name = tokens[at]
+            if not name.isidentifier():
+                self._expected("a coordinate name")
+            if name in OP_NAMES:
+                self._err(at, "E_PARSE", f"coordinate name '{name}' is reserved")
+            if name in names:
+                self._err(at, "E_PARSE", f"duplicate coordinate '{name}'")
+            names.append(name)
+            self.pos = at + 1
+            if tokens[self.pos] != ",":
+                break
+            self.pos += 1
         k = Fraction(0)
-        if (self._peek().kind == "ident" and self._peek().text == "k"
-                and self._peek(1).kind == "="):
-            self._next()
-            self._next()
+        if tokens[self.pos] == "k" and tokens[self.pos + 1] == "=":
+            self.pos += 2
             k = self._signed_rational()
         self.chart = Chart(tuple(names), k)
         self.coords = {name: i for i, name in enumerate(names)}
 
     def _signed_rational(self) -> Fraction:
         negative = False
-        while self._peek().kind == "-":
-            self._next()
+        while self.tokens[self.pos] == "-":
+            self.pos += 1
             negative = not negative
-        value = Fraction(*self._ratio(self._expect("int", "a number")))
+        value = Fraction(*self._ratio(self._int("a number")))
         return -value if negative else value
 
-    def _ratio(self, int_tok: _Token) -> tuple[int, int]:
-        """The literal ``INT ("/" INT)?`` at ``int_tok`` as (num, den) in lowest terms."""
-        num = self._literal(int_tok)
-        if self.tokens[self.pos].kind == "/":
+    def _ratio(self, at: int) -> tuple[int, int]:
+        """The literal ``INT ("/" INT)?`` at token ``at`` as (num, den) in lowest terms."""
+        num = self._literal(at)
+        if self.tokens[self.pos] == "/":
             self.pos += 1
-            den_tok = self._expect("int", "a denominator")
-            den = self._literal(den_tok)
+            den_at = self._int("a denominator")
+            den = self._literal(den_at)
             if den == 0:
-                self._err(den_tok, "E_PARSE", "zero denominator")
+                self._err(den_at, "E_PARSE", "zero denominator")
             g = gcd(num, den)
             return num // g, den // g
         return num, 1
 
-    def _literal(self, tok: _Token) -> int:
-        digits = tok.text.lstrip("0") or "0"
+    def _literal(self, at: int) -> int:
+        digits = self.tokens[at].lstrip("0") or "0"
         if len(digits) > MAX_LITERAL_DIGITS:
-            self._err(tok, "E_PARSE",
+            self._err(at, "E_PARSE",
                       f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
         return int(digits)
 
@@ -441,15 +460,16 @@ class _Parser:
 
     def _expr(self) -> Value:
         if self.depth == MAX_NESTING:
-            self._err(self._peek(), "E_PARSE",
+            self._err(self.pos, "E_PARSE",
                       f"expression nested more than {MAX_NESTING} levels deep")
         self.depth += 1
+        tokens = self.tokens
         value = None  # the sum of the terms before the pending monomials
         monomials: list[_Monomial] = []
-        op = None
+        op = None  # the index of the sign before the term
         while True:
             term = self._term()
-            negate = op is not None and op.kind == "-"
+            negate = op is not None and tokens[op] == "-"
             if type(term) is tuple and (value is None or isinstance(value, ScalarField)):
                 num, den, exps = term
                 monomials.append((-num if negate else num, den, exps))
@@ -462,9 +482,10 @@ class _Parser:
                     value = total if value is None else value + total
                     monomials = []
                 value = term if value is None else self._add(value, term, op)
-            if self.tokens[self.pos].kind not in ("+", "-"):
+            if tokens[self.pos] not in ("+", "-"):
                 break
-            op = self._next()
+            op = self.pos
+            self.pos += 1
         if monomials:
             total = _from_monomials(self.chart, monomials)
             value = total if value is None else value + total
@@ -478,8 +499,8 @@ class _Parser:
         """A term's value, or its monomial when every factor is a number or coordinate."""
         tokens = self.tokens
         value = self._factor()
-        while tokens[self.pos].kind == "*":
-            op = tokens[self.pos]
+        while tokens[self.pos] == "*":
+            op = self.pos
             self.pos += 1
             factor = self._factor()
             if type(value) is not tuple or type(factor) is not tuple:
@@ -497,29 +518,29 @@ class _Parser:
         """A factor's value, or its monomial for a number not raised by ``^`` or a coordinate."""
         tokens = self.tokens
         start = pos = self.pos
-        while tokens[pos].kind == "-":  # a loop, not recursion: "- - - x" is flat
+        while tokens[pos] == "-":  # a loop, not recursion: "- - - x" is flat
             pos += 1
         negate = (pos - start) & 1
         tok = tokens[pos]
         self.pos = pos + 1
-        if tok.kind == "int":
-            num, den = self._ratio(tok)
-            if tokens[self.pos].kind != "^":
+        if tok.isdecimal():
+            num, den = self._ratio(pos)
+            if tokens[self.pos] != "^":
                 return (-num if negate else num), den, (0,) * self.chart.dim
             value = _from_monomials(self.chart, ((num, den, (0,) * self.chart.dim),))
-        elif tok.kind == "ident" and tok.text in self.coords:
+        elif tok in self.coords:
             power = 1
-            while tokens[self.pos].kind == "^":
+            while tokens[self.pos] == "^":
                 self.pos += 1
                 power *= self._exponent()
             exps = [0] * self.chart.dim
-            exps[self.coords[tok.text]] = power
+            exps[self.coords[tok]] = power
             return (-1 if negate else 1), 1, tuple(exps)
         else:
             self.pos = pos
             value = self._atom()
-        while tokens[self.pos].kind == "^":
-            caret = tokens[self.pos]
+        while tokens[self.pos] == "^":
+            caret = self.pos
             if not isinstance(value, ScalarField):
                 self._err(caret, "E_TYPE",
                           "'^' raises a scalar to an integer power; basis differentials "
@@ -530,13 +551,13 @@ class _Parser:
 
     def _exponent(self) -> int:
         """The integer after a ``^``, at most MAX_EXPONENT."""
-        exp_tok = self._expect("int", "an integer exponent")
-        exponent = self._literal(exp_tok)
+        at = self._int("an integer exponent")
+        exponent = self._literal(at)
         if exponent > MAX_EXPONENT:
-            self._err(exp_tok, "E_PARSE", f"exponent {exp_tok.text} exceeds {MAX_EXPONENT}")
+            self._err(at, "E_PARSE", f"exponent {self.tokens[at]} exceeds {MAX_EXPONENT}")
         return exponent
 
-    def _power(self, base: ScalarField, exponent: int, caret: _Token) -> ScalarField:
+    def _power(self, base: ScalarField, exponent: int, caret: int) -> ScalarField:
         """base ** exponent by repeated squaring: one product per bit and per set bit."""
         out = None
         while True:
@@ -547,7 +568,7 @@ class _Parser:
                 return self.chart.constant(1) if out is None else out
             base = self._power_step(base, base, caret)
 
-    def _power_step(self, a: ScalarField, b: ScalarField, caret: _Token) -> ScalarField:
+    def _power_step(self, a: ScalarField, b: ScalarField, caret: int) -> ScalarField:
         """a * b inside ``_power``, refused before any work when it is too large.
 
         Integers of i and j bits multiply to at least 2 ** (i + j - 2), which
@@ -559,7 +580,7 @@ class _Parser:
         self._check_product(a, b, caret)
         return a * b
 
-    def _check_product(self, a: Value, b: Value, tok: _Token) -> None:
+    def _check_product(self, a: Value, b: Value, at: int) -> None:
         """Refuse, before any work, a product that needs too many term products
         or whose operands' largest integers together pass ``_PRODUCT_BITS`` bits.
 
@@ -570,70 +591,71 @@ class _Parser:
             return
         m, n = _value_terms(a), _value_terms(b)
         if m * n > MAX_PRODUCT_TERMS:
-            self._err(tok, "E_PARSE",
+            self._err(at, "E_PARSE",
                       f"product of a {m}-term and a {n}-term operand "
                       f"exceeds {MAX_PRODUCT_TERMS} term products")
-        self._check_bits(_value_bits(a), _value_bits(b), tok)
+        self._check_bits(_value_bits(a), _value_bits(b), at)
 
-    def _check_bits(self, i: int, j: int, tok: _Token) -> None:
+    def _check_bits(self, i: int, j: int, at: int) -> None:
         """Refuse a product whose operands' largest integers, of i and j bits,
         pass ``_PRODUCT_BITS`` bits together."""
         if i + j > _PRODUCT_BITS:
-            self._err(tok, "E_PARSE",
+            self._err(at, "E_PARSE",
                       f"product of operands with {i}-bit and {j}-bit integers "
                       f"exceeds {_PRODUCT_BITS} bits")
 
     def _atom(self) -> Value:
         """Any factor but a number or a coordinate, which ``_factor`` reads."""
-        tok = self._next()
-        if tok.kind == "ident":
-            text = tok.text
-            if text in OP_NAMES and self._peek().kind == "(":
-                return self._opcall(tok)
-            if text in self.definitions:
-                return self.definitions[text]
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        self.pos = at + 1
+        if tok.isidentifier():
+            if tok in OP_NAMES and tokens[self.pos] == "(":
+                return self._opcall(at)
+            if tok in self.definitions:
+                return self.definitions[tok]
             if self._is_differential(tok):
                 return self._dblock(tok)
-            self._err(tok, "E_NAME", f"unknown name '{text}'")
-        if tok.kind == "@":
-            nt = self._next()
-            if nt.kind != "ident" or nt.text not in self.chart.names:
-                self._err(nt, "E_NAME", f"'@' must be followed by a coordinate name")
-            index = self.chart.names.index(nt.text)
+            self._err(at, "E_NAME", f"unknown name '{tok}'")
+        if tok == "@":
+            name = tokens[self.pos]
+            if name not in self.chart.names:
+                self._err(self.pos, "E_NAME", f"'@' must be followed by a coordinate name")
+            self.pos += 1
             comps = [self.chart.constant(0)] * self.chart.dim
-            comps[index] = self.chart.constant(1)
+            comps[self.coords[name]] = self.chart.constant(1)
             return VectorField(self.chart, tuple(comps))
-        if tok.kind == "(":
+        if tok == "(":
             value = self._expr()
-            self._expect(")", "')'")
+            self._expect(")")
             return value
-        if tok.kind == "[":
-            return self._pair_form(tok)
-        if tok.kind == "{":
-            return self._pair_vector(tok)
-        self._err(tok, "E_PARSE",
-                  f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+        if tok == "[":
+            return self._pair_form(at)
+        if tok == "{":
+            return self._pair_vector(at)
+        self._err(at, "E_PARSE", f"unexpected {tok!r}" if tok else "unexpected end of input")
 
-    def _is_differential(self, tok: _Token) -> bool:
-        return (tok.kind == "ident" and len(tok.text) > 1 and tok.text[0] == "d"
-                and tok.text[1:] in self.chart.names)
+    def _is_differential(self, tok: str) -> bool:
+        return len(tok) > 1 and tok[0] == "d" and tok[1:] in self.coords
 
-    def _dblock(self, first: _Token) -> Form:
-        indices = [self.chart.names.index(first.text[1:])]
-        while self._peek().kind == "^" and self._is_differential(self._peek(1)):
-            self._next()
-            indices.append(self.chart.names.index(self._next().text[1:]))
+    def _dblock(self, first: str) -> Form:
+        tokens = self.tokens
+        indices = [self.coords[first[1:]]]
+        while tokens[self.pos] == "^" and self._is_differential(tokens[self.pos + 1]):
+            indices.append(self.coords[tokens[self.pos + 1][1:]])
+            self.pos += 2
         return Form.from_terms(self.chart, len(indices),
                                [(tuple(indices), self.chart.constant(1))])
 
-    def _pair_form(self, open_tok: _Token) -> GeneralizedForm:
+    def _pair_form(self, open_at: int) -> GeneralizedForm:
         first = self._expr()
-        self._expect(";", "';'")
+        self._expect(";")
         second = self._expr()
-        self._expect("]", "']'")
+        self._expect("]")
         for part in (first, second):
             if not isinstance(part, (ScalarField, Form)):
-                self._err(open_tok, "E_TYPE",
+                self._err(open_at, "E_TYPE",
                           f"pair form components must be forms or scalars, got {_kind(part)}")
         ordinary, companion = _as_form(first), _as_form(second)
         if ordinary.is_zero and companion.is_zero:
@@ -643,73 +665,73 @@ class _Parser:
         if companion.is_zero:
             return GeneralizedForm(ordinary, Form.zero(self.chart, ordinary.degree + 1))
         if companion.degree != ordinary.degree + 1:
-            self._err(open_tok, "E_DEGREE",
+            self._err(open_at, "E_DEGREE",
                       f"companion degree {companion.degree} must be one more than "
                       f"ordinary degree {ordinary.degree}")
         return GeneralizedForm(ordinary, companion)
 
-    def _pair_vector(self, open_tok: _Token) -> GeneralizedVector:
+    def _pair_vector(self, open_at: int) -> GeneralizedVector:
         first = self._expr()
-        self._expect(";", "';'")
+        self._expect(";")
         second = self._expr()
-        self._expect("}", "'}'")
+        self._expect("}")
         if isinstance(first, ScalarField) and first.is_zero:
             first = VectorField.zero(self.chart)
         if not isinstance(first, VectorField):
-            self._err(open_tok, "E_TYPE",
+            self._err(open_at, "E_TYPE",
                       f"pair vector needs a vector field first, got {_kind(first)}")
         if not isinstance(second, ScalarField):
-            self._err(open_tok, "E_TYPE",
+            self._err(open_at, "E_TYPE",
                       f"pair vector needs a scalar second, got {_kind(second)}")
         return GeneralizedVector(first, second)
 
     # -- operations ----------------------------------------------------------
 
-    def _opcall(self, name_tok: _Token) -> Value:
-        self._expect("(", "'('")
+    def _opcall(self, name_at: int) -> Value:
+        name = self.tokens[name_at]
+        self._expect("(")
         args = [self._expr()]
-        while self._peek().kind == ",":
-            self._next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             args.append(self._expr())
-        self._expect(")", "')'")
-        arity, product, message, signatures = _OPS[name_tok.text]
+        self._expect(")")
+        arity, product, message, signatures = _OPS[name]
         if len(args) != arity:
-            self._err(name_tok, "E_PARSE",
-                      f"{name_tok.text} takes {arity} arguments, got {len(args)}")
+            self._err(name_at, "E_PARSE", f"{name} takes {arity} arguments, got {len(args)}")
         for classes, compute in signatures:
             if all(map(isinstance, args, classes)):
                 break
         else:
-            self._err(name_tok, "E_TYPE", message.format(*map(_kind, args)))
+            self._err(name_at, "E_TYPE", message.format(*map(_kind, args)))
         if product:
-            self._check_product(*args, name_tok)
+            self._check_product(*args, name_at)
         try:
-            return _collapse(compute(self, name_tok, *args))
+            return _collapse(compute(self, name_at, *args))
         except DegreeError as exc:
-            self._err(name_tok, "E_DEGREE", str(exc))
+            self._err(name_at, "E_DEGREE", str(exc))
         except ChartMismatchError as exc:
-            self._err(name_tok, "E_CHART", str(exc))
+            self._err(name_at, "E_CHART", str(exc))
 
-    def _add(self, a: Value, b: Value, tok: _Token) -> Value:
+    def _add(self, a: Value, b: Value, at: int) -> Value:
         if _kind(a) == _kind(b):
             try:
                 return a + b
             except DegreeError as exc:
-                self._err(tok, "E_DEGREE", str(exc))
+                self._err(at, "E_DEGREE", str(exc))
         if getattr(a, "is_zero", False):
             return b
         if getattr(b, "is_zero", False):
             return a
-        self._err(tok, "E_TYPE", f"cannot add {_kind(a)} and {_kind(b)}")
+        self._err(at, "E_TYPE", f"cannot add {_kind(a)} and {_kind(b)}")
 
-    def _mul(self, a: Value, b: Value, tok: _Token) -> Value:
+    def _mul(self, a: Value, b: Value, at: int) -> Value:
         if isinstance(a, ScalarField):
-            self._check_product(a, b, tok)
+            self._check_product(a, b, at)
             return a * b if isinstance(b, ScalarField) else b.__rmul__(a)
         if isinstance(b, ScalarField):
-            self._check_product(a, b, tok)
+            self._check_product(a, b, at)
             return a.__rmul__(b)
-        self._err(tok, "E_TYPE",
+        self._err(at, "E_TYPE",
                   f"'*' scales by scalars only; cannot multiply {_kind(a)} and {_kind(b)} "
                   "(use wedge for products of forms)")
 
@@ -718,9 +740,9 @@ class _Parser:
 # two operands, the E_TYPE message, formatted with the operands' kinds, and
 # the signatures).  A signature is a tuple of operand classes and the
 # computation that runs on operands of those classes, as
-# ``compute(parser, name token, *operands)``.  ``_opcall`` takes the first
-# signature that matches, so a call with operands of the wrong kinds is
-# E_TYPE whatever their size, then applies the product limits, then computes.
+# ``compute(parser, index of the name token, *operands)``.  ``_opcall`` takes
+# the first signature that matches, so a call with operands of the wrong kinds
+# is E_TYPE whatever their size, then applies the product limits, then computes.
 # Each computation looks its method up on the operands when it runs.
 _FORMS = (ScalarField, Form)  # a scalar is a 0-form
 _OPS = {

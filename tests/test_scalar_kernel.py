@@ -161,6 +161,29 @@ def test_diff_and_eval_match_reference(case, data):
     assert value == ref.eval_at(ra, point)
 
 
+wide_values = st.one_of(
+    coefficients,
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+
+
+@kernel_settings
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 12)] * dim), coefficients), max_size=12),
+    st.lists(wide_values, min_size=dim, max_size=dim))))
+def test_eval_at_matches_a_plain_fraction_sum(case):
+    pairs, point = case
+    a = ScalarField.from_terms(Chart(NAMES[:len(point)]), pairs)
+    total = Fraction(0)
+    for exps, c in a.terms.items():
+        for e, v in zip(exps, point):
+            c *= Fraction(v) ** e
+        total += c
+    value = a.eval_at(point)
+    assert type(value) is Fraction
+    assert value == total
+
+
 def test_coordinates_and_constants_are_canonical():
     chart = Chart(NAMES)
     for i in range(4):
