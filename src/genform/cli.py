@@ -5,7 +5,8 @@
     genform check ID [--dim N] [--trials T] [--seed S] [--k SPEC]
 
 ``check`` accepts an identity name P1..P17 or ``all``; ``--k`` is ``random``,
-``zero`` or a fixed rational such as ``2/3``.  Results go to stdout,
+``zero`` or a rational read as an ``--at`` value is, such as ``2/3`` or
+``--k=-2/3`` (argparse reads ``--k -2/3`` as an option).  Results go to stdout,
 diagnostics to stderr as ``line:col: code: message``.  Exit status: 0 on
 success, 1 when an identity check finds a counterexample, 2 for usage or
 parse errors.
@@ -15,16 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from fractions import Fraction
-from operator import mul
 
 from .errors import GenformError, ParseError
 from .harness import GenConfig, IDENTITIES, parse_k_spec, run_identity
 from .scalars import Chart
-from .session import (MAX_LITERAL_DIGITS, _PRODUCT_BITS, _fault, _scalars, parse_session,
-                      substitute)
+from .session import parse_rational, parse_session, value_at
 
 
 def _diag(message: str) -> None:
@@ -82,24 +80,6 @@ def _load(path: str) -> str:
         return handle.read()
 
 
-# A rational as the session reads it: -?INT(/INT)?, so no "+", ".", "e" or "_".
-_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?")
-
-
-def _rational(text: str) -> Fraction:
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"bad rational {text!r}: expected INT or INT/INT, optionally negative")
-    sign, num, den = match.groups(default="1")
-    num, den = num.lstrip("0") or "0", den.lstrip("0") or "0"
-    for digits in (num, den):
-        if len(digits) > MAX_LITERAL_DIGITS:
-            raise ValueError(f"integer of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
-    if den == "0":
-        raise ValueError(f"bad rational {text!r}: zero denominator")
-    return Fraction(int(sign + num), int(den))
-
-
 def _parse_point(spec: str, chart: Chart) -> list[Fraction]:
     bindings: dict[str, Fraction] = {}
     for part in spec.split(","):
@@ -112,28 +92,11 @@ def _parse_point(spec: str, chart: Chart) -> list[Fraction]:
             raise ValueError(f"unknown coordinate {name!r}")
         if name in bindings:
             raise ValueError(f"coordinate {name!r} bound twice")
-        bindings[name] = _rational(text)
+        bindings[name] = parse_rational(text)
     missing = [n for n in chart.names if n not in bindings]
     if missing:
         raise ValueError(f"point must bind every coordinate; missing {', '.join(missing)}")
     return [bindings[n] for n in chart.names]
-
-
-def _value_at(value, point: list[Fraction]):
-    """value at point, refused before the work when the integers of one of its terms
-    could pass the session's product bound, and after it when it would not print."""
-    sizes = [max(abs(v.numerator), v.denominator).bit_length() for v in point]
-    for f in _scalars(value):
-        for exps, c in f.terms.items():
-            bits = max(abs(c.numerator), c.denominator).bit_length()
-            if bits + sum(map(mul, exps, sizes)) > _PRODUCT_BITS:
-                raise ValueError(f"a term of the value at the point could need integers "
-                                 f"of more than {_PRODUCT_BITS} bits")
-    at = substitute(value, point)
-    if any(map(_fault, _scalars(at))):
-        raise ValueError(f"the value at the point has a coefficient of more than "
-                         f"{MAX_LITERAL_DIGITS} digits")
-    return at
 
 
 def _cmd_eval(args) -> int:
@@ -145,7 +108,7 @@ def _cmd_eval(args) -> int:
     print(value)
     if args.at is not None:
         try:
-            at = _value_at(value, _parse_point(args.at, session.chart))
+            at = value_at(value, _parse_point(args.at, session.chart))
         except ValueError as exc:
             _diag(f"genform: E_POINT: {exc}")
             return 2
@@ -167,9 +130,7 @@ def _cmd_check(args) -> int:
         _diag(f"genform: E_USAGE: unknown identity '{args.identity}'")
         return 2
     try:
-        k_mode, k_fixed = parse_k_spec(args.k)
-        cfg = GenConfig(seed=args.seed, dimension=args.dim,
-                        k_mode=k_mode, k_fixed=k_fixed)
+        cfg = GenConfig(seed=args.seed, dimension=args.dim, k=parse_k_spec(args.k))
     except ValueError as exc:
         _diag(f"genform: E_USAGE: {exc}")
         return 2

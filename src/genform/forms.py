@@ -196,12 +196,9 @@ class Form:
             return "0"
         if self.degree == 0:
             return str(self.scalar_part())
-        parts = []
-        for key in sorted(self.components):
-            block = coefficient_block(self.components[key])
-            suffix = "^".join(f"d{self.chart.names[i]}" for i in key)
-            parts.append(suffix if block is None else f"{block}*{suffix}")
-        return join_signed(parts)
+        names = self.chart.names
+        return _basis_sum((self.components[key], "^".join(f"d{names[i]}" for i in key))
+                          for key in sorted(self.components))
 
     __repr__ = __str__
 
@@ -294,16 +291,20 @@ class VectorField:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for i, comp in enumerate(self.components):
-            if comp.is_zero:
-                continue
-            block = coefficient_block(comp)
-            suffix = f"@{self.chart.names[i]}"
-            parts.append(suffix if block is None else f"{block}*{suffix}")
-        return join_signed(parts)
+        pairs = zip(self.components, self.chart.names)
+        return _basis_sum((comp, f"@{name}") for comp, name in pairs if not comp.is_zero)
 
     __repr__ = __str__
+
+
+def _basis_sum(pairs: Iterable[tuple[ScalarField, str]]) -> str:
+    """The signed sum of ``coefficient*basis`` over (coefficient, basis) pairs;
+    a coefficient of one prints as its basis alone."""
+    parts = []
+    for c, basis in pairs:
+        block = coefficient_block(c)
+        parts.append(basis if block is None else f"{block}*{basis}")
+    return join_signed(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ Each trial schedules its form degrees by cycling through all legal (p, q)
 pairs, so every pair occurs once per (n+2)^2 consecutive trials, including
 p = -1 and p = n.  Degenerate inputs are forced on a fixed schedule rather
 than left to chance: trials with index 3 mod 8 zero out the first form slot,
-index 5 mod 8 zeroes the first vector slot, and in random-k mode index
-6 mod 8 sets k = 0.  Failed trials are reported as re-parseable DSL sessions
-together with both sides of the violated equation.
+index 5 mod 8 zeroes the first vector slot, and when k is drawn per trial
+index 6 mod 8 sets k = 0.  Failed trials are reported as re-parseable DSL
+sessions together with both sides of the violated equation.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .generalized import (
     cartan_residual,
 )
 from .scalars import Chart, ScalarField, _from_monomials, rational_str
-from .session import parse_session, render_session
+from .session import parse_rational, parse_session, render_session
 
 _COORD_NAMES = ("x", "y", "z", "w")
 
@@ -77,7 +77,8 @@ class GenConfig:
     """Bounds and seeding for the random generators.
 
     Identical configurations generate identical objects; the seed plus a
-    stream position fully determines every draw.
+    stream position fully determines every draw.  ``k`` is the chart
+    constant of every trial, or None to draw one per trial.
     """
 
     seed: int = 0
@@ -85,36 +86,32 @@ class GenConfig:
     max_poly_degree: int = 3
     max_terms: int = 4
     coefficient_bound: int = 5
-    k_mode: str = "random"  # "zero" | "random" | "fixed"
-    k_fixed: Fraction | None = None
+    k: Fraction | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         if self.max_poly_degree < 0 or self.max_terms < 1 or self.coefficient_bound < 1:
             raise ValueError("generator bounds out of range")
-        if self.k_mode not in ("zero", "random", "fixed"):
-            raise ValueError(f"unknown k mode {self.k_mode!r}")
-        if self.k_mode == "fixed":
-            if self.k_fixed is None:
-                raise ValueError("k_mode='fixed' needs k_fixed")
-            object.__setattr__(self, "k_fixed", Fraction(self.k_fixed))
+        if self.k is not None:
+            object.__setattr__(self, "k", Fraction(self.k))
 
     def describe(self) -> str:
-        k = {"zero": "0", "random": "random"}.get(self.k_mode) or rational_str(self.k_fixed)
+        k = "random" if self.k is None else rational_str(self.k)
         return (f"seed={self.seed} dim={self.dimension} max_deg={self.max_poly_degree} "
                 f"max_terms={self.max_terms} bound={self.coefficient_bound} k={k}")
 
 
-def parse_k_spec(spec: str) -> tuple[str, Fraction | None]:
-    """Map a CLI --k argument to (k_mode, k_fixed)."""
+def parse_k_spec(spec: str) -> Fraction | None:
+    """The ``GenConfig.k`` a CLI --k argument names: ``random`` (None), ``zero``
+    or a rational as ``session.parse_rational`` reads it."""
     if spec == "random":
-        return "random", None
+        return None
     if spec == "zero":
-        return "zero", None
+        return Fraction(0)
     try:
-        return "fixed", Fraction(spec)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(spec)
+    except ValueError:
         raise ValueError(f"bad k spec {spec!r}: expected 'random', 'zero' or a rational") from None
 
 
@@ -136,38 +133,21 @@ def _position(pos) -> tuple:
 # (seed, "slot", trial, slot index), so one trial's slots draw independently.
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform draw from range(n), n >= 1, as CPython's ``Random._randbelow``.
-
-    ``randint(a, b)`` is ``a + _below(bits, b - a + 1)``, ``choice(seq)`` is
-    ``seq[_below(bits, len(seq))]`` and ``shuffle`` swaps item i with item
-    ``_below(bits, i + 1)`` for i from the last down to 1: the same draws in
-    the same order, without the argument handling of the ``random`` methods.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _gen_rational(rng: random.Random, bound: int) -> Fraction:
     """A random rational num/den with |num| <= bound and 1 <= den <= bound."""
-    bits = rng.getrandbits
-    num = _below(bits, 2 * bound + 1) - bound
-    return Fraction(num, 1 + _below(bits, bound))
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def _k(cfg: GenConfig, *trial: int) -> Fraction:
     """The chart constant of a config, or of one of its trials.
 
-    Zero and fixed modes give their constant.  Random mode draws it from the
+    A fixed ``cfg.k`` is every trial's.  Otherwise it is drawn from the
     stream at ("k",) for the config and ("k", trial) for a trial, except that
     trials 6 mod 8 are scheduled zero-k trials.
     """
-    if cfg.k_mode == "fixed":
-        return cfg.k_fixed
-    if cfg.k_mode == "zero" or (trial and trial[0] % 8 == 6):
+    if cfg.k is not None:
+        return cfg.k
+    if trial and trial[0] % 8 == 6:
         return Fraction(0)
     return _gen_rational(_rng(cfg, "k", *trial), cfg.coefficient_bound)
 
@@ -179,12 +159,12 @@ def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
     """A random polynomial, every uniform draw written out inline.
 
-    Each ``while r >= m`` loop below is one ``_below(bits, m)``, with
-    ``m.bit_length()`` bits per draw.  In order: the term count, then per
-    term the total degree, its split over the coordinates, the shuffle of
-    the exponents (as ``rng.shuffle``), and a nonzero coefficient: the
-    numerator's magnitude, its sign (``_below(bits, 2)``, two bits a draw)
-    and the denominator.
+    Each ``while r >= m`` loop below is one ``rng.randrange(m)`` as CPython's
+    ``Random._randbelow`` draws it, ``m.bit_length()`` bits per try.  In
+    order: the term count, then per term the total degree, its split over
+    the coordinates, the shuffle of the exponents (as ``rng.shuffle``), and a
+    nonzero coefficient: the numerator's magnitude, its sign
+    (``randrange(2)``, two bits a try) and the denominator.
     """
     bits = rng.getrandbits
     n = chart.dim
@@ -306,7 +286,7 @@ class Identity:
     name: str
     summary: str
     slots: tuple[tuple[str, str], ...]  # (slot name, slot kind)
-    check: Callable[[Chart, dict], list[tuple]]
+    check: Callable[..., list[tuple]]  # check(chart, **slots) -> [(lhs, rhs), ...]
 
 
 def _homotopy_expansion(chart: Chart, V: GeneralizedVector,
@@ -363,109 +343,90 @@ def _identity(name: str, summary: str, **slots: str):
 
 
 @_identity("P1", "unit and zero laws of the pair wedge product", a="gform")
-def _check_p1(chart, env):
-    a = env["a"]
+def _check_p1(chart, a):
     unit = GeneralizedForm.from_form(Form.from_scalar(chart.constant(1)))
     zero = GeneralizedForm.zero(chart)
     return [(unit.wedge(a), a), (zero.wedge(a), zero)]
 
 
 @_identity("P2", "graded commutativity of the pair wedge product", a="gform", b="gform")
-def _check_p2(chart, env):
-    a, b = env["a"], env["b"]
+def _check_p2(chart, a, b):
     return [(a.wedge(b), _sign(a.degree * b.degree) * b.wedge(a))]
 
 
 @_identity("P3", "associativity of the pair wedge product", a="gform", b="gform", c="gform")
-def _check_p3(chart, env):
-    a, b, c = env["a"], env["b"], env["c"]
+def _check_p3(chart, a, b, c):
     return [(a.wedge(b).wedge(c), a.wedge(b.wedge(c)))]
 
 
 @_identity("P4", "nilpotency of the deformed exterior derivative", a="gform")
-def _check_p4(chart, env):
-    a = env["a"]
+def _check_p4(chart, a):
     return [(a.d().d(), GeneralizedForm.zero(chart))]
 
 
 @_identity("P5", "graded Leibniz rule for the deformed exterior derivative", a="gform", b="gform")
-def _check_p5(chart, env):
-    a, b = env["a"], env["b"]
-    return [(a.wedge(b).d(),
-             a.d().wedge(b) + _sign(a.degree) * a.wedge(b.d()))]
+def _check_p5(chart, a, b):
+    return [(a.wedge(b).d(), a.d().wedge(b) + _sign(a.degree) * a.wedge(b.d()))]
 
 
 @_identity("P6", "zero-form scaling of pair vectors composes through the wedge",
            a0="gform0", b0="gform0", V="gvector")
-def _check_p6(chart, env):
-    a0, b0, V = env["a0"], env["b0"], env["V"]
+def _check_p6(chart, a0, b0, V):
     return [(V.scaled_by(b0).scaled_by(a0), V.scaled_by(a0.wedge(b0)))]
 
 
 @_identity("P7", "contraction is a graded antiderivation of the wedge",
            V="gvector", a="gform", b="gform")
-def _check_p7(chart, env):
-    V, a, b = env["V"], env["a"], env["b"]
+def _check_p7(chart, V, a, b):
     return [(V.contract(a.wedge(b)),
              V.contract(a).wedge(b) + _sign(a.degree) * a.wedge(V.contract(b)))]
 
 
 @_identity("P8", "contraction is linear over ordinary scalar combinations",
            V="gvector", W="gvector", mu="scalar", a="gform")
-def _check_p8(chart, env):
-    V, W, mu, a = env["V"], env["W"], env["mu"], env["a"]
+def _check_p8(chart, V, W, mu, a):
     return [((V + mu * W).contract(a), V.contract(a) + mu * W.contract(a))]
 
 
 @_identity("P9", "homotopy-formula derivative equals its expanded closed form",
            V="gvector", a="gform")
-def _check_p9(chart, env):
-    V, a = env["V"], env["a"]
+def _check_p9(chart, V, a):
     return [(V.lie_cartan(a), _homotopy_expansion(chart, V, a))]
 
 
 @_identity("P10", "contraction defect of the uncorrected derivative has closed form",
            V="gvector", W="gvector", a="gform")
-def _check_p10(chart, env):
-    V, W, a = env["V"], env["W"], env["a"]
+def _check_p10(chart, V, W, a):
     return [(cartan_residual(V, W, a), _expected_residual(V, W, a))]
 
 
 @_identity("P11", "corrected derivative: correction form agrees with closed form",
            V="gvector", a="gform")
-def _check_p11(chart, env):
-    V, a = env["V"], env["a"]
+def _check_p11(chart, V, a):
     return [(V.lie(a), V.lie_cartan(a) + _lie_correction(chart, V, a))]
 
 
 @_identity("P12", "corrected derivative satisfies the sign-free Leibniz rule",
            V="gvector", a="gform", b="gform")
-def _check_p12(chart, env):
-    V, a, b = env["V"], env["a"], env["b"]
+def _check_p12(chart, V, a, b):
     return [(V.lie(a.wedge(b)), V.lie(a).wedge(b) + a.wedge(V.lie(b)))]
 
 
 @_identity("P13", "corrected derivative and contraction commute into a contraction",
            V="gvector", W="gvector", a="gform")
-def _check_p13(chart, env):
-    V, W, a = env["V"], env["W"], env["a"]
-    return [(V.lie(W.contract(a)) - W.contract(V.lie(a)),
-             V.lie(W).contract(a))]
+def _check_p13(chart, V, W, a):
+    return [(V.lie(W.contract(a)) - W.contract(V.lie(a)), V.lie(W).contract(a))]
 
 
 @_identity("P14", "commuting corrected derivatives differentiates along the bracket",
            V="gvector", W="gvector", a="gform")
-def _check_p14(chart, env):
-    V, W, a = env["V"], env["W"], env["a"]
-    return [(V.lie(W.lie(a)) - W.lie(V.lie(a)),
-             V.commutator(W).lie(a))]
+def _check_p14(chart, V, W, a):
+    return [(V.lie(W.lie(a)) - W.lie(V.lie(a)), V.commutator(W).lie(a))]
 
 
 @_identity("P15", "bracket antisymmetry and bilinearity over rational constants",
            V="gvector", V2="gvector", W="gvector", c1="const", c2="const")
-def _check_p15(chart, env):
-    V, V2, W = env["V"], env["V2"], env["W"]
-    c1, c2 = env["c1"], env["c2"]
+def _check_p15(chart, V, V2, W, c1, c2):
     combo = c1 * V + c2 * V2
     return [
         (V.commutator(W), -W.commutator(V)),
@@ -475,8 +436,7 @@ def _check_p15(chart, env):
 
 
 @_identity("P16", "bracket satisfies the Jacobi identity", U="gvector", V="gvector", W="gvector")
-def _check_p16(chart, env):
-    U, V, W = env["U"], env["V"], env["W"]
+def _check_p16(chart, U, V, W):
     cyclic = (U.commutator(V.commutator(W))
               + V.commutator(W.commutator(U))
               + W.commutator(U.commutator(V)))
@@ -485,8 +445,7 @@ def _check_p16(chart, env):
 
 @_identity("P17", "ordinary calculus embeds at zero scalar part and zero companion",
            al="form", be="form", v="vector", w="vector")
-def _check_p17(chart, env):
-    al, be, v, w = env["al"], env["be"], env["v"], env["w"]
+def _check_p17(chart, al, be, v, w):
     A = GeneralizedForm.from_form(al)
     B = GeneralizedForm.from_form(be)
     Va = GeneralizedVector.from_vector(v)
@@ -578,7 +537,7 @@ def run_identity(name: str, cfg: GenConfig, trials: int) -> IdentityReport:
     for trial in range(trials):
         chart = _trial_chart(cfg, trial)
         env = _trial_env(ident, cfg, chart, trial)
-        for lhs, rhs in ident.check(chart, env):
+        for lhs, rhs in ident.check(chart, **env):
             if lhs != rhs:
                 failures.append(Failure(trial, cfg.describe(),
                                         render_session(chart, env),

@@ -74,7 +74,9 @@ of a single term whose coefficient is 1 or -1 times a monomial (``dx``,
 coordinates such as ``5*x``), which changes neither the term count nor the
 integers of the other operand.  An operation call is checked for the kinds
 of its operands before the product limits, so a call with operands of the
-wrong kinds is E_TYPE whatever their size.
+wrong kinds is E_TYPE whatever their size.  For input from outside a session
+(``eval --at``, ``check --k``), ``parse_rational`` applies the literal rules
+and ``value_at`` the product and printing limits, raising ValueError.
 
 The tokenizer is one ``findall`` of one regular expression, each match being
 the whitespace and comments before a token and the token's text in its only
@@ -99,7 +101,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
@@ -310,6 +312,25 @@ def parse_session(text: str) -> Session:
     return _Parser(text).parse()
 
 
+# A rational from outside a session as a session writes it: -?INT(/INT)?, so no "+", ".", "e".
+_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational ``text`` writes, within the digits of a literal; else ValueError."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad rational {text!r}: expected INT or INT/INT, optionally negative")
+    sign, num, den = match.groups(default="1")
+    num, den = num.lstrip("0") or "0", den.lstrip("0") or "0"
+    for digits in (num, den):
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"integer of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
+    if den == "0":
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(int(sign + num), int(den))
+
+
 def substitute(value: Value, point) -> Value:
     """Replace every polynomial coefficient by its exact value at the point."""
     if isinstance(value, ScalarField):
@@ -329,6 +350,23 @@ def substitute(value: Value, point) -> Value:
         return GeneralizedVector(substitute(value.v1, point),
                                  substitute(value.v0, point))
     raise TypeError(f"cannot substitute into {type(value).__name__}")
+
+
+def value_at(value: Value, point) -> Value:
+    """``substitute(value, point)``, a ValueError before the work when the integers of
+    one of its terms could pass ``_PRODUCT_BITS``, and after it when it would not print."""
+    sizes = [max(abs(v.numerator), v.denominator).bit_length() for v in point]
+    for f in _scalars(value):
+        for exps, c in f.terms.items():
+            bits = max(abs(c.numerator), c.denominator).bit_length()
+            if bits + sum(map(mul, exps, sizes)) > _PRODUCT_BITS:
+                raise ValueError(f"a term of the value at the point could need integers "
+                                 f"of more than {_PRODUCT_BITS} bits")
+    at = substitute(value, point)
+    if any(map(_fault, _scalars(at))):
+        raise ValueError(f"the value at the point has a coefficient of more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
+    return at
 
 
 class _Parser:

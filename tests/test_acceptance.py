@@ -31,10 +31,10 @@ from test_harness import _corrupted_contract, _corrupted_d
 DIMS = (1, 2, 3, 4)
 
 
-def _run_split(name, per_dim, seed, k_mode="random", k_fixed=None):
+def _run_split(name, per_dim, seed, k=None):
     reports = []
     for dim in DIMS:
-        cfg = GenConfig(seed=seed, dimension=dim, k_mode=k_mode, k_fixed=k_fixed)
+        cfg = GenConfig(seed=seed, dimension=dim, k=k)
         reports.append(run_identity(name, cfg, per_dim))
     return reports
 
@@ -52,8 +52,8 @@ def _assert_all_ok(reports, label):
 
 def test_criterion_01_nilpotency():
     total = 0
-    for k_mode in ("random", "zero"):
-        total += _assert_all_ok(_run_split("P4", 25, seed=101, k_mode=k_mode),
+    for k in (None, Fraction(0)):
+        total += _assert_all_ok(_run_split("P4", 25, seed=101, k=k),
                                 "P4 d^2=0")
     assert total == 200
     for dim in DIMS:  # every legal degree is scheduled within each dimension's run

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from genform.cli import main
 from session_texts import mutated_sessions, short_texts
-from test_harness import _corrupted_d
+from test_harness import _corrupted_contract, _corrupted_d
 from genform.session import MAX_LITERAL_DIGITS, MAX_NESTING
 
 
@@ -112,6 +112,29 @@ def test_check_bad_k_spec(capsys):
     status, _, err = run(capsys, ["check", "P4", "--k", "pi"])
     assert status == 2
     assert "E_USAGE" in err
+
+
+def test_check_k_spec_is_read_as_a_point_value_is(capsys):
+    for bad in ("1.5", "1e7", "1_0", " 2/3", "1e5000", "9" * (MAX_LITERAL_DIGITS + 1)):
+        status, out, err = run(capsys, ["check", "P4", "--trials", "2", "--k", bad])
+        assert (status, out) == (2, "")
+        assert err.startswith(f"genform: E_USAGE: bad k spec {bad!r}") and err.count("\n") == 1
+    for spec in (["--k", "zero"], ["--k", "0"], ["--k", "0004/6"], ["--k=-2/3"]):
+        status, out, err = run(capsys, ["check", "P4", "--trials", "2", *spec])
+        assert (status, out, err) == (0, "P4: pass (2 trials)\n", "")
+
+
+def test_check_fixed_k_prints_in_counterexamples(capsys, monkeypatch):
+    from genform import GeneralizedForm, GeneralizedVector
+
+    monkeypatch.setattr(GeneralizedForm, "d", _corrupted_d)
+    status, out, _ = run(capsys, ["check", "P4", "--trials", "8", "--k=-2/3"])
+    assert status == 1
+    assert "k=-2/3):\nchart x, y k=-2/3\n" in out
+    monkeypatch.setattr(GeneralizedVector, "contract", _corrupted_contract)
+    zero = run(capsys, ["check", "P10", "--trials", "8", "--k", "zero"])
+    assert zero == run(capsys, ["check", "P10", "--trials", "8", "--k", "0"])
+    assert zero[0] == 1 and "k=0):\nchart x, y k=0\n" in zero[1]
 
 
 def test_check_output_is_deterministic(capsys):

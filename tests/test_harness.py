@@ -82,7 +82,7 @@ def test_forced_degenerate_trials():
     chart5 = _trial_chart(cfg, 5)
     assert _trial_env(ident, cfg, chart5, 5)["V"].is_zero
     assert _trial_chart(cfg, 6).k == 0
-    assert _trial_chart(GenConfig(seed=5, dimension=2, k_mode="fixed", k_fixed=Fraction(3)), 6).k == 3
+    assert _trial_chart(GenConfig(seed=5, dimension=2, k=Fraction(3)), 6).k == 3
 
 
 def test_p10_witness_is_scheduled_and_nonzero():
@@ -146,7 +146,7 @@ def test_counterexample_reparses_and_reproduces(monkeypatch):
     assert report.failures
     failure = report.failures[0]
     chart, env = replay_env("P4", failure.session)
-    pairs = IDENTITIES["P4"].check(chart, env)
+    pairs = IDENTITIES["P4"].check(chart, **env)
     assert any(str(lhs) == failure.lhs and str(rhs) == failure.rhs for lhs, rhs in pairs)
     assert any(lhs != rhs for lhs, rhs in pairs)
 
@@ -169,8 +169,6 @@ def test_gvector_generator_objects_are_valid():
         assert len(V.v1.components) == 3
 
 
-def test_fixed_k_mode_requires_value():
-    with pytest.raises(ValueError):
-        GenConfig(k_mode="fixed")
-    cfg = GenConfig(k_mode="fixed", k_fixed=Fraction(2, 3))
+def test_fixed_k_is_every_trials_k():
+    cfg = GenConfig(k=Fraction(2, 3))
     assert _trial_chart(cfg, 0).k == Fraction(2, 3)

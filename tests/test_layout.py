@@ -7,6 +7,12 @@ change in that one module.  These tests read each source file with ``ast``:
 no other module may read ``._num`` or ``._den`` (as an attribute, or by name
 in a string, as ``attrgetter`` would) or import the integer kernel's
 ``_from_ints`` or ``_mac``.
+
+Likewise only ``genform.session`` knows the size limits of a value: the
+digits of a literal, the integer bounds of products and printing, and the
+``_fault`` test built on them.  Other modules call ``session``'s readers
+(``parse_rational``, ``value_at``), so a limit that a test patches there is
+the one every input meets.
 """
 
 import ast
@@ -17,6 +23,10 @@ import genform
 SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
 KERNEL = {"_from_ints", "_mac"}
+LIMITS = {"MAX_LITERAL_DIGITS", "_PRODUCT_BITS", "_PRINTABLE_BITS", "_fault"}
+# the field of each node kind that may hold a name
+NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+               ast.FunctionDef: "name", ast.Constant: "value"}
 
 
 def layout_uses(path: Path) -> list[str]:
@@ -46,3 +56,25 @@ def test_the_search_finds_the_layout_where_it_is_read():
     assert any("reads ._num" in use for use in uses)
     assert any("reads ._den" in use for use in uses)
     assert any("names '_num'" in use for use in uses)
+
+
+def limit_uses(path: Path) -> list[str]:
+    """Each place in one source file that names a size limit of the session."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        field = NAME_FIELDS.get(type(node))
+        if field and getattr(node, field) in LIMITS:
+            uses.append(f"{path.name}:{node.lineno}: names {getattr(node, field)}")
+    return uses
+
+
+def test_no_module_but_session_names_the_size_limits():
+    modules = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "harness.py", "session.py"} <= {path.name for path in modules}
+    assert [use for path in modules if path.name != "session.py"
+            for use in limit_uses(path)] == []
+
+
+def test_the_search_finds_the_limits_where_they_are_named():
+    uses = " ".join(limit_uses(SRC / "session.py"))
+    assert all(f"names {name}" in uses for name in LIMITS)

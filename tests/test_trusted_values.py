@@ -99,8 +99,8 @@ def test_operation_results_rebuild_through_the_public_constructors(case, data):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", ["random", "zero", "fixed"])
 def test_trial_inputs_rebuild_through_the_public_constructors(dim, k):
-    cfg = GenConfig(seed=3, dimension=dim, k_mode=k,
-                    k_fixed=Fraction(-2, 3) if k == "fixed" else None)
+    cfg = GenConfig(seed=3, dimension=dim,
+                    k={"random": None, "zero": Fraction(0), "fixed": Fraction(-2, 3)}[k])
     for ident in IDENTITIES.values():
         for trial in range(12):
             chart = _trial_chart(cfg, trial)
