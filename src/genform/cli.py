@@ -4,12 +4,12 @@
     genform show FILE                        canonical listing of a session file
     genform check ID [--dim N] [--trials T] [--seed S] [--k SPEC]
 
-``check`` accepts an identity name P1..P17 or ``all``; ``--k`` is ``random``,
-``zero`` or a rational read as an ``--at`` value is, such as ``2/3`` or
-``--k=-2/3`` (argparse reads ``--k -2/3`` as an option).  Results go to stdout,
-diagnostics to stderr as ``line:col: code: message``.  Exit status: 0 on
-success, 1 when an identity check finds a counterexample, 2 for usage or
-parse errors.
+``check`` accepts an identity name P1..P17 or ``all``; ``--dim`` is 1 to
+``harness.MAX_DIMENSION`` (8); ``--k`` is ``random``, ``zero`` or a rational
+read as an ``--at`` value is, such as ``2/3`` or ``--k=-2/3`` (argparse reads
+``--k -2/3`` as an option).  Results go to stdout, diagnostics to stderr as
+``line:col: code: message``.  Exit status: 0 on success, 1 when an identity
+check finds a counterexample, 2 for usage or parse errors.
 """
 
 from __future__ import annotations

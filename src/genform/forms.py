@@ -72,6 +72,30 @@ def _normalize_key(key: Key) -> tuple[Key | None, int]:
     return tuple(items), sign
 
 
+# ---------------------------------------------------------------------------
+# Rules shared by the four value types here and in ``generalized``, bound by
+# name in each class body, so every operator stays in its class's ``__dict__``.
+
+
+def _nonzero(self) -> bool:
+    return not self.is_zero
+
+
+def _sub(self, other):
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return self + (-other)
+
+
+def _is_factor(value, factor) -> bool:
+    """Whether ``factor`` scales ``value``: a rational, or a scalar field on its
+    chart; a scalar field on another chart raises ChartMismatchError."""
+    if isinstance(factor, ScalarField):
+        _require_same_chart(value.chart, factor.chart)
+        return True
+    return isinstance(factor, (Fraction, int))
+
+
 @_sealed
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Form:
@@ -126,17 +150,13 @@ class Form:
     def is_zero(self) -> bool:
         return not self.components
 
-    def __bool__(self) -> bool:
-        return bool(self.components)
+    __bool__ = _nonzero
 
     def __eq__(self, other) -> bool:
+        # a key's length is the degree, so zero is degree-agnostic
         if not isinstance(other, Form):
             return NotImplemented
-        if self.chart != other.chart:
-            return False
-        if not self.components and not other.components:
-            return True  # zero is degree-agnostic
-        return self.degree == other.degree and self.components == other.components
+        return self.chart == other.chart and self.components == other.components
 
     __hash__ = None
 
@@ -165,16 +185,11 @@ class Form:
     def __neg__(self):
         return _trusted_form(self.chart, self.degree, [(k, -p) for k, p in self.components.items()])
 
-    def __sub__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _sub
 
     def __rmul__(self, factor):
-        if not isinstance(factor, (ScalarField, Fraction, int)):
+        if not _is_factor(self, factor):
             return NotImplemented
-        if isinstance(factor, ScalarField):
-            _require_same_chart(self.chart, factor.chart)
         return _trusted_form(self.chart, self.degree,
                              [(k, factor * p) for k, p in self.components.items()])
 
@@ -192,8 +207,6 @@ class Form:
         return _fused_form(self.chart, self.degree + 1, groups)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         if self.degree == 0:
             return str(self.scalar_part())
         names = self.chart.names
@@ -230,36 +243,30 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
+    __bool__ = _nonzero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.chart == other.chart and self.components == other.components
+        return self.components == other.components  # scalar equality compares charts
 
     __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        _require_same_chart(self.chart, other.chart)
+        # the components' sums check the chart
         return _trusted_vector(self.chart,
                                tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
         return _trusted_vector(self.chart, tuple(-c for c in self.components))
 
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _sub
 
     def __rmul__(self, factor):
-        if not isinstance(factor, (ScalarField, Fraction, int)):
+        if not _is_factor(self, factor):
             return NotImplemented
-        if isinstance(factor, ScalarField):
-            _require_same_chart(self.chart, factor.chart)
         return _trusted_vector(self.chart, tuple(factor * c for c in self.components))
 
     def apply(self, f: ScalarField) -> ScalarField:
@@ -289,8 +296,6 @@ class VectorField:
         return _fused_vector(self.chart, _bracket_rows(self, other))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         pairs = zip(self.components, self.chart.names)
         return _basis_sum((comp, f"@{name}") for comp, name in pairs if not comp.is_zero)
 
@@ -299,12 +304,12 @@ class VectorField:
 
 def _basis_sum(pairs: Iterable[tuple[ScalarField, str]]) -> str:
     """The signed sum of ``coefficient*basis`` over (coefficient, basis) pairs;
-    a coefficient of one prints as its basis alone."""
+    a coefficient of one prints as its basis alone, and no pairs print as 0."""
     parts = []
     for c, basis in pairs:
         block = coefficient_block(c)
         parts.append(basis if block is None else f"{block}*{basis}")
-    return join_signed(parts)
+    return join_signed(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

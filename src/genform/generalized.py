@@ -52,7 +52,6 @@ result goes through one private trusted constructor per type,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ChartMismatchError, DegreeError
 from .scalars import Chart, ScalarField, _require_same_chart, _sealed, _sum_products
@@ -71,6 +70,7 @@ from .forms import (
     _trusted_form,
     _wedge_into,
 )
+from .forms import _is_factor, _nonzero, _sub  # the rules every value type shares
 
 
 def _sign(e: int) -> int:
@@ -120,19 +120,13 @@ class GeneralizedForm:
     def is_zero(self) -> bool:
         return self.ordinary.is_zero and self.companion.is_zero
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
+    __bool__ = _nonzero
 
     def __eq__(self, other) -> bool:
+        # form equality decides charts and degrees: zero slots are degree-agnostic
         if not isinstance(other, GeneralizedForm):
             return NotImplemented
-        if self.chart != other.chart:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return (self.degree == other.degree
-                and self.ordinary == other.ordinary
-                and self.companion == other.companion)
+        return self.ordinary == other.ordinary and self.companion == other.companion
 
     __hash__ = None
 
@@ -152,14 +146,11 @@ class GeneralizedForm:
     def __neg__(self):
         return _trusted_pair(-self.ordinary, -self.companion)
 
-    def __sub__(self, other):
-        if not isinstance(other, GeneralizedForm):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _sub
 
     def __rmul__(self, factor):
         # ordinary scalar multiplication: both slots scale
-        if not isinstance(factor, (ScalarField, Fraction, int)):
+        if not _is_factor(self, factor):
             return NotImplemented
         return _trusted_pair(factor * self.ordinary, factor * self.companion)
 
@@ -215,8 +206,7 @@ class GeneralizedVector:
     def is_zero(self) -> bool:
         return self.v1.is_zero and self.v0.is_zero
 
-    def __bool__(self) -> bool:
-        return not self.is_zero
+    __bool__ = _nonzero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedVector):
@@ -233,14 +223,11 @@ class GeneralizedVector:
     def __neg__(self):
         return _trusted_gvector(-self.v1, -self.v0)
 
-    def __sub__(self, other):
-        if not isinstance(other, GeneralizedVector):
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _sub
 
     def __rmul__(self, factor):
         # linear only under ordinary scalars; zero-form scaling is scaled_by
-        if not isinstance(factor, (ScalarField, Fraction, int)):
+        if not _is_factor(self, factor):
             return NotImplemented
         return _trusted_gvector(factor * self.v1, factor * self.v0)
 

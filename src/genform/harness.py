@@ -64,6 +64,8 @@ from .scalars import Chart, ScalarField, _from_monomials, rational_str
 from .session import parse_rational, parse_session, render_session
 
 _COORD_NAMES = ("x", "y", "z", "w")
+# A trial's p-forms have C(n, p) components, so the dimension sets the work of a check.
+MAX_DIMENSION = 8
 
 
 def _chart_names(n: int) -> tuple[str, ...]:
@@ -91,6 +93,8 @@ class GenConfig:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
+        if self.dimension > MAX_DIMENSION:
+            raise ValueError(f"dimension must be at most {MAX_DIMENSION}")
         if self.max_poly_degree < 0 or self.max_terms < 1 or self.coefficient_bound < 1:
             raise ValueError("generator bounds out of range")
         if self.k is not None:

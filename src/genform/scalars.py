@@ -437,25 +437,18 @@ def poly_str(f: ScalarField) -> str:
     if not num:
         return "0"
     pieces = []
-    for i, exps in enumerate(sorted(num, key=_grlex_key)):
+    for exps in sorted(num, key=_grlex_key):  # a constant term comes first
         c = num[exps]  # the coefficient is c/den; it is one exactly when c == den
         mono = _mono_str(f.chart, exps)
-        if i == 0:
-            if not mono:
-                pieces.append(_ratio_str(c, den))
-            elif c == den:
-                pieces.append(mono)
-            else:
-                pieces.append(f"{_ratio_str(c, den)}*{mono}")
+        if pieces:  # a later term's sign is the operator before it
+            pieces.append(" - " if c < 0 else " + ")
+            c = abs(c)
+        if not mono:
+            pieces.append(_ratio_str(c, den))
+        elif c == den:
+            pieces.append(mono)
         else:
-            mag = abs(c)
-            if not mono:
-                body = _ratio_str(mag, den)
-            elif mag == den:
-                body = mono
-            else:
-                body = f"{_ratio_str(mag, den)}*{mono}"
-            pieces.append((" - " if c < 0 else " + ") + body)
+            pieces.append(f"{_ratio_str(c, den)}*{mono}")
     return "".join(pieces)
 
 

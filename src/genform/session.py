@@ -128,20 +128,17 @@ MAX_PRODUCT_TERMS = 10 ** 5
 
 OP_NAMES = ("wedge", "d", "I", "L", "Lc", "Lv", "comm", "scale", "add", "smul")
 
-_KINDS = (
-    (ScalarField, "scalar"),
-    (Form, "form"),
-    (VectorField, "vector"),
-    (GeneralizedForm, "pair form"),
-    (GeneralizedVector, "pair vector"),
-)
+_KINDS = {
+    ScalarField: "scalar",
+    Form: "form",
+    VectorField: "vector",
+    GeneralizedForm: "pair form",
+    GeneralizedVector: "pair vector",
+}
 
 
 def _kind(value) -> str:
-    for cls, label in _KINDS:
-        if isinstance(value, cls):
-            return label
-    return type(value).__name__
+    return _KINDS[type(value)]
 
 
 def _scalars(value: Value) -> list[ScalarField]:
@@ -182,18 +179,6 @@ def _fault(f: ScalarField) -> int:
             if abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE:
                 return _WIDE
     return _HIGH if _max_exponent(f) > MAX_EXPONENT else 0
-
-
-def _value_terms(value: Value) -> int:
-    """The terms of all coefficients of a value."""
-    return _term_count(_scalars(value))
-
-
-def _value_bits(value: Value) -> int:
-    """The bit length of the largest integer of any coefficient of a value."""
-    if isinstance(value, ScalarField):
-        return _int_bits(value)
-    return max(map(_int_bits, _scalars(value)), default=0)
 
 
 def _is_unit_term(value: Value) -> bool:
@@ -296,13 +281,9 @@ class Session:
         return render_session(self.chart, self.definitions)
 
 
-def chart_header(chart: Chart) -> str:
-    return f"chart {', '.join(chart.names)} k={rational_str(chart.k)}"
-
-
 def render_session(chart: Chart, definitions) -> str:
     """Canonical text for a chart and a name -> value mapping; re-parseable."""
-    lines = [chart_header(chart)]
+    lines = [f"chart {', '.join(chart.names)} k={rational_str(chart.k)}"]
     for name, value in definitions.items():
         lines.append(f"{name} = {value}")
     return "\n".join(lines) + "\n"
@@ -627,12 +608,14 @@ class _Parser:
         """
         if _is_unit_term(a) or _is_unit_term(b):
             return
-        m, n = _value_terms(a), _value_terms(b)
+        fa, fb = _scalars(a), _scalars(b)
+        m, n = _term_count(fa), _term_count(fb)
         if m * n > MAX_PRODUCT_TERMS:
             self._err(at, "E_PARSE",
                       f"product of a {m}-term and a {n}-term operand "
                       f"exceeds {MAX_PRODUCT_TERMS} term products")
-        self._check_bits(_value_bits(a), _value_bits(b), at)
+        self._check_bits(max(map(_int_bits, fa), default=0),
+                         max(map(_int_bits, fb), default=0), at)
 
     def _check_bits(self, i: int, j: int, at: int) -> None:
         """Refuse a product whose operands' largest integers, of i and j bits,
@@ -696,12 +679,11 @@ class _Parser:
                 self._err(open_at, "E_TYPE",
                           f"pair form components must be forms or scalars, got {_kind(part)}")
         ordinary, companion = _as_form(first), _as_form(second)
-        if ordinary.is_zero and companion.is_zero:
-            return GeneralizedForm.zero(self.chart, 0)
+        # a zero part takes its degree from the other part, or 0 when both are zero
         if ordinary.is_zero:
-            return GeneralizedForm(Form.zero(self.chart, companion.degree - 1), companion)
+            ordinary = Form.zero(self.chart, companion.degree - 1 if companion else 0)
         if companion.is_zero:
-            return GeneralizedForm(ordinary, Form.zero(self.chart, ordinary.degree + 1))
+            companion = Form.zero(self.chart, ordinary.degree + 1)
         if companion.degree != ordinary.degree + 1:
             self._err(open_at, "E_DEGREE",
                       f"companion degree {companion.degree} must be one more than "

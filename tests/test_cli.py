@@ -205,3 +205,13 @@ def test_show_exits_0_or_2_on_any_text(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     status, out, err = run(capsys, ["show", str(path)])
     assert (status, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+
+def test_check_dim_is_bounded(capsys):
+    for dim in ("9", "100"):
+        status, out, err = run(capsys, ["check", "P4", "--dim", dim, "--trials", "1"])
+        assert (status, out) == (2, "")
+        assert err == "genform: E_USAGE: dimension must be at most 8\n"
+    status, out, err = run(capsys, ["check", "all", "--dim", "8", "--trials", "1"])
+    assert status == 0 and err == ""
+    assert out.count("pass (1 trials)") == 17

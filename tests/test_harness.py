@@ -25,6 +25,7 @@ from genform.harness import (
     residual_witness,
     scheduled_degrees,
 )
+from genform.session import render_session
 
 
 def test_gen_scalar_respects_degenerate_bounds():
@@ -172,3 +173,20 @@ def test_gvector_generator_objects_are_valid():
 def test_fixed_k_is_every_trials_k():
     cfg = GenConfig(k=Fraction(2, 3))
     assert _trial_chart(cfg, 0).k == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_replay_env_restores_zero_form_and_zero_vector_slots(dim):
+    # trial 3 forces the first form slot (al) to zero, trial 5 the first vector slot (v)
+    cfg = GenConfig(seed=4, dimension=dim)
+    ident = IDENTITIES["P17"]
+    for trial, slot in ((3, "al"), (5, "v")):
+        chart = _trial_chart(cfg, trial)
+        env = _trial_env(ident, cfg, chart, trial)
+        assert not env[slot]
+        replayed_chart, replayed = replay_env("P17", render_session(chart, env))
+        assert replayed_chart == chart
+        for name, value in env.items():
+            assert type(replayed[name]) is type(value)
+            assert replayed[name] == value
+        assert ident.check(chart, **replayed) == ident.check(chart, **env)
