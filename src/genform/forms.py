@@ -33,12 +33,22 @@ check keys, degrees, lengths and charts.  Results of the operations here go
 through one private trusted constructor per type, ``_trusted_form`` (which
 only drops zero coefficients) and ``_trusted_vector``, which fill the slots
 through their descriptors' cached setters.
+
+Every value type walks its coefficients in one place: ``_map(fn)`` is the
+value of the same type with ``fn`` applied to each coefficient, built by the
+type's trusted constructor, and ``_coefficients()`` lists them; the pair
+types of :mod:`genform.generalized` build both from their parts', and
+``ScalarField`` is its own one coefficient.  The rules the value types share
+are written once here and bound by name in each class: ``-`` between two
+values (``_sub``), truth (``_nonzero``), unary ``-`` (``_neg``) and scalar
+``*`` (``_rmul``), the last two through ``_map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatchError, DegreeError
@@ -49,7 +59,6 @@ from .scalars import (
     _sealed,
     _sum_products,
     coefficient_block,
-    join_signed,
 )
 
 Key = tuple[int, ...]
@@ -87,13 +96,19 @@ def _sub(self, other):
     return self + (-other)
 
 
-def _is_factor(value, factor) -> bool:
-    """Whether ``factor`` scales ``value``: a rational, or a scalar field on its
-    chart; a scalar field on another chart raises ChartMismatchError."""
+def _neg(self):
+    return self._map(neg)
+
+
+def _rmul(self, factor):
+    """``factor * self``, coefficient by coefficient, for a rational factor or a
+    scalar field on the value's chart; a field on another chart raises
+    ChartMismatchError."""
     if isinstance(factor, ScalarField):
-        _require_same_chart(value.chart, factor.chart)
-        return True
-    return isinstance(factor, (Fraction, int))
+        _require_same_chart(self.chart, factor.chart)
+    elif not isinstance(factor, (Fraction, int)):
+        return NotImplemented
+    return self._map(lambda c: factor * c)
 
 
 @_sealed
@@ -182,16 +197,16 @@ class Form:
             acc[key] = poly if cur is None else cur + poly
         return _trusted_form(self.chart, self.degree, acc.items())
 
-    def __neg__(self):
-        return _trusted_form(self.chart, self.degree, [(k, -p) for k, p in self.components.items()])
-
-    __sub__ = _sub
-
-    def __rmul__(self, factor):
-        if not _is_factor(self, factor):
-            return NotImplemented
+    def _map(self, fn) -> "Form":
         return _trusted_form(self.chart, self.degree,
-                             [(k, factor * p) for k, p in self.components.items()])
+                             [(k, fn(p)) for k, p in self.components.items()])
+
+    def _coefficients(self) -> list[ScalarField]:
+        return list(self.components.values())
+
+    __neg__ = _neg
+    __sub__ = _sub
+    __rmul__ = _rmul
 
     def wedge(self, other: "Form") -> "Form":
         """Antisymmetrized product; degree adds, repeated indices cancel."""
@@ -259,15 +274,15 @@ class VectorField:
         return _trusted_vector(self.chart,
                                tuple(a + b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self):
-        return _trusted_vector(self.chart, tuple(-c for c in self.components))
+    def _map(self, fn) -> "VectorField":
+        return _trusted_vector(self.chart, tuple(map(fn, self.components)))
 
+    def _coefficients(self) -> list[ScalarField]:
+        return list(self.components)
+
+    __neg__ = _neg
     __sub__ = _sub
-
-    def __rmul__(self, factor):
-        if not _is_factor(self, factor):
-            return NotImplemented
-        return _trusted_vector(self.chart, tuple(factor * c for c in self.components))
+    __rmul__ = _rmul
 
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
@@ -304,12 +319,19 @@ class VectorField:
 
 def _basis_sum(pairs: Iterable[tuple[ScalarField, str]]) -> str:
     """The signed sum of ``coefficient*basis`` over (coefficient, basis) pairs;
-    a coefficient of one prints as its basis alone, and no pairs print as 0."""
-    parts = []
+    a coefficient of one prints as its basis alone, a summand's leading minus
+    becomes the operator before it, and no pairs print as 0."""
+    out = ""
     for c, basis in pairs:
         block = coefficient_block(c)
-        parts.append(basis if block is None else f"{block}*{basis}")
-    return join_signed(parts) or "0"
+        term = basis if block is None else f"{block}*{basis}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +479,11 @@ def one_forms(chart: Chart) -> tuple[Form, ...]:
 
 def coordinate_vectors(chart: Chart) -> tuple[VectorField, ...]:
     """The coordinate vector fields, dual to the coordinate differentials."""
-    zero = chart.constant(0)
-    one = chart.constant(1)
-    out = []
-    for i in range(chart.dim):
-        comps = [zero] * chart.dim
-        comps[i] = one
-        out.append(VectorField(chart, tuple(comps)))
-    return tuple(out)
+    return tuple(_coordinate_vector(chart, i) for i in range(chart.dim))
+
+
+def _coordinate_vector(chart: Chart, i: int) -> VectorField:
+    """The coordinate vector field of coordinate i, through the checked constructor."""
+    comps = [chart.constant(0)] * chart.dim
+    comps[i] = chart.constant(1)
+    return VectorField(chart, tuple(comps))

@@ -29,7 +29,8 @@ sign conventions above are normative and the identity suite guards them;
 do not swap them for rearranged equivalents.
 
 Degrees outside [-1, n] can only arise for identically zero pairs and are
-clamped back into range; zero pairs compare equal regardless of degree tag.
+clamped back into range by ``_trusted_pair``, the one place that knows the
+range; zero pairs compare equal regardless of degree tag.
 
 Each coefficient of a result of wedge, d, contract, scaled_by, lie or
 commutator is one call of the scalar kernel's fused sum of products: the slot
@@ -46,7 +47,10 @@ Both pair types are slotted frozen dataclasses.  ``GeneralizedForm(...)``
 and ``GeneralizedVector(...)`` check charts and degrees; every operation
 result goes through one private trusted constructor per type,
 ``_trusted_pair`` (which keeps the clamp of out-of-range zero pairs) and
-``_trusted_gvector``, which check nothing.
+``_trusted_gvector``, which check nothing.  The checked constructor of a
+pair form takes its parts from ``_trusted_pair`` too.  Each pair type's
+``_map`` and ``_coefficients`` walk its two parts with theirs, so unary
+``-`` and scalar ``*``, bound from :mod:`genform.forms`, act slot by slot.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .forms import (
     _trusted_form,
     _wedge_into,
 )
-from .forms import _is_factor, _nonzero, _sub  # the rules every value type shares
+from .forms import _neg, _nonzero, _rmul, _sub  # the rules every value type shares
 
 
 def _sign(e: int) -> int:
@@ -93,11 +97,9 @@ class GeneralizedForm:
                 f"companion degree {self.companion.degree} does not follow "
                 f"ordinary degree {self.ordinary.degree}"
             )
-        p = self.ordinary.degree
-        if p < -1 or p > self.ordinary.chart.dim:
-            clamped = _trusted_pair(self.ordinary, self.companion)
-            _set_ordinary(self, clamped.ordinary)
-            _set_companion(self, clamped.companion)
+        clamped = _trusted_pair(self.ordinary, self.companion)
+        _set_ordinary(self, clamped.ordinary)
+        _set_companion(self, clamped.companion)
 
     @property
     def chart(self) -> Chart:
@@ -143,16 +145,15 @@ class GeneralizedForm:
         return _trusted_pair(self.ordinary + other.ordinary,
                              self.companion + other.companion)
 
-    def __neg__(self):
-        return _trusted_pair(-self.ordinary, -self.companion)
+    def _map(self, fn) -> "GeneralizedForm":
+        return _trusted_pair(self.ordinary._map(fn), self.companion._map(fn))
 
+    def _coefficients(self) -> list[ScalarField]:
+        return self.ordinary._coefficients() + self.companion._coefficients()
+
+    __neg__ = _neg
     __sub__ = _sub
-
-    def __rmul__(self, factor):
-        # ordinary scalar multiplication: both slots scale
-        if not _is_factor(self, factor):
-            return NotImplemented
-        return _trusted_pair(factor * self.ordinary, factor * self.companion)
+    __rmul__ = _rmul  # ordinary scalar multiplication: both slots scale
 
     def wedge(self, other: "GeneralizedForm") -> "GeneralizedForm":
         _require_same_chart(self.chart, other.chart)
@@ -220,16 +221,15 @@ class GeneralizedVector:
             return NotImplemented
         return _trusted_gvector(self.v1 + other.v1, self.v0 + other.v0)
 
-    def __neg__(self):
-        return _trusted_gvector(-self.v1, -self.v0)
+    def _map(self, fn) -> "GeneralizedVector":
+        return _trusted_gvector(self.v1._map(fn), self.v0._map(fn))
 
+    def _coefficients(self) -> list[ScalarField]:
+        return self.v1._coefficients() + self.v0._coefficients()
+
+    __neg__ = _neg
     __sub__ = _sub
-
-    def __rmul__(self, factor):
-        # linear only under ordinary scalars; zero-form scaling is scaled_by
-        if not _is_factor(self, factor):
-            return NotImplemented
-        return _trusted_gvector(factor * self.v1, factor * self.v0)
+    __rmul__ = _rmul  # linear only under ordinary scalars; zero-form scaling is scaled_by
 
     def scaled_by(self, a0: GeneralizedForm) -> "GeneralizedVector":
         """Scale by a generalized zero-form: a0 V = (a0_0 v1, a0_0 v0 + i_{v1} a0_1)."""

@@ -212,6 +212,13 @@ class ScalarField:
 
     __rmul__ = __mul__
 
+    def _map(self, fn) -> "ScalarField":
+        """``fn`` of the one coefficient, the walk every value type has."""
+        return fn(self)
+
+    def _coefficients(self) -> list["ScalarField"]:
+        return [self]
+
     def diff(self, coord: int) -> "ScalarField":
         """Exact partial derivative with respect to coordinate ``coord``."""
         if not 0 <= coord < self.chart.dim:
@@ -464,16 +471,3 @@ def coefficient_block(f: ScalarField) -> str | None:
             return None
         return poly_str(f)
     return f"({poly_str(f)})"
-
-
-def join_signed(parts: Iterable[str]) -> str:
-    """Join rendered summands, folding a leading minus into a binary one."""
-    out = ""
-    for s in parts:
-        if not out:
-            out = s
-        elif s.startswith("-"):
-            out += " - " + s[1:]
-        else:
-            out += " + " + s
-    return out

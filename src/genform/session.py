@@ -76,7 +76,9 @@ integers of the other operand.  An operation call is checked for the kinds
 of its operands before the product limits, so a call with operands of the
 wrong kinds is E_TYPE whatever their size.  For input from outside a session
 (``eval --at``, ``check --k``), ``parse_rational`` applies the literal rules
-and ``value_at`` the product and printing limits, raising ValueError.
+and ``value_at`` the product and printing limits, raising ValueError.  The
+limits and ``substitute`` see a value only through its ``_coefficients()``
+and ``_map``, so this module reads no part of any value.
 
 The tokenizer is one ``findall`` of one regular expression, each match being
 the whitespace and comments before a token and the token's text in its only
@@ -105,7 +107,7 @@ from operator import add, mul
 from typing import Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
-from .forms import Form, VectorField
+from .forms import Form, VectorField, _coordinate_vector
 from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import (
     Chart,
@@ -139,19 +141,6 @@ _KINDS = {
 
 def _kind(value) -> str:
     return _KINDS[type(value)]
-
-
-def _scalars(value: Value) -> list[ScalarField]:
-    """Every polynomial coefficient of a value."""
-    if isinstance(value, ScalarField):
-        return [value]
-    if isinstance(value, Form):
-        return list(value.components.values())
-    if isinstance(value, VectorField):
-        return list(value.components)
-    if isinstance(value, GeneralizedForm):
-        return _scalars(value.ordinary) + _scalars(value.companion)
-    return _scalars(value.v1) + _scalars(value.v0)
 
 
 # The smallest integer with more than MAX_LITERAL_DIGITS digits, and a bit
@@ -188,12 +177,9 @@ def _is_unit_term(value: Value) -> bool:
     A product with such a factor has as many terms as the other operand and
     the same integers, so the product limits need not look at it.
     """
-    if type(value) is Form:
-        coefficients = value.components.values()
-    elif type(value) is VectorField:
-        coefficients = [c for c in value.components if c]
-    else:
+    if type(value) not in (Form, VectorField):
         return False
+    coefficients = [c for c in value._coefficients() if c]
     return len(coefficients) == 1 and _is_unit_monomial(*coefficients)
 
 
@@ -314,37 +300,23 @@ def parse_rational(text: str) -> Fraction:
 
 def substitute(value: Value, point) -> Value:
     """Replace every polynomial coefficient by its exact value at the point."""
-    if isinstance(value, ScalarField):
-        return value.chart.constant(value.eval_at(point))
-    if isinstance(value, Form):
-        consts = {key: value.chart.constant(poly.eval_at(point))
-                  for key, poly in value.components.items()}
-        return Form(value.chart, value.degree, consts)
-    if isinstance(value, VectorField):
-        return VectorField(value.chart,
-                           tuple(value.chart.constant(c.eval_at(point))
-                                 for c in value.components))
-    if isinstance(value, GeneralizedForm):
-        return GeneralizedForm(substitute(value.ordinary, point),
-                               substitute(value.companion, point))
-    if isinstance(value, GeneralizedVector):
-        return GeneralizedVector(substitute(value.v1, point),
-                                 substitute(value.v0, point))
-    raise TypeError(f"cannot substitute into {type(value).__name__}")
+    if type(value) not in _KINDS:
+        raise TypeError(f"cannot substitute into {type(value).__name__}")
+    return value._map(lambda c: c.chart.constant(c.eval_at(point)))
 
 
 def value_at(value: Value, point) -> Value:
     """``substitute(value, point)``, a ValueError before the work when the integers of
     one of its terms could pass ``_PRODUCT_BITS``, and after it when it would not print."""
     sizes = [max(abs(v.numerator), v.denominator).bit_length() for v in point]
-    for f in _scalars(value):
+    for f in value._coefficients():
         for exps, c in f.terms.items():
             bits = max(abs(c.numerator), c.denominator).bit_length()
             if bits + sum(map(mul, exps, sizes)) > _PRODUCT_BITS:
                 raise ValueError(f"a term of the value at the point could need integers "
                                  f"of more than {_PRODUCT_BITS} bits")
     at = substitute(value, point)
-    if any(map(_fault, _scalars(at))):
+    if any(map(_fault, at._coefficients())):
         raise ValueError(f"the value at the point has a coefficient of more than "
                          f"{MAX_LITERAL_DIGITS} digits")
     return at
@@ -409,7 +381,7 @@ class _Parser:
                 self._err(at, "E_REDEF", f"'{name}' is already defined")
             self._expect("=")
             value = self._expr()
-            fault = max(map(_fault, _scalars(value)), default=0)
+            fault = max(map(_fault, value._coefficients()), default=0)
             if fault == _WIDE:
                 self._err(at, "E_PARSE",
                           f"value of '{name}' has a coefficient of more than "
@@ -608,7 +580,7 @@ class _Parser:
         """
         if _is_unit_term(a) or _is_unit_term(b):
             return
-        fa, fb = _scalars(a), _scalars(b)
+        fa, fb = a._coefficients(), b._coefficients()
         m, n = _term_count(fa), _term_count(fb)
         if m * n > MAX_PRODUCT_TERMS:
             self._err(at, "E_PARSE",
@@ -644,9 +616,7 @@ class _Parser:
             if name not in self.chart.names:
                 self._err(self.pos, "E_NAME", f"'@' must be followed by a coordinate name")
             self.pos += 1
-            comps = [self.chart.constant(0)] * self.chart.dim
-            comps[self.coords[name]] = self.chart.constant(1)
-            return VectorField(self.chart, tuple(comps))
+            return _coordinate_vector(self.chart, self.coords[name])
         if tok == "(":
             value = self._expr()
             self._expect(")")

@@ -13,6 +13,12 @@ digits of a literal, the integer bounds of products and printing, and the
 ``_fault`` test built on them.  Other modules call ``session``'s readers
 (``parse_rational``, ``value_at``), so a limit that a test patches there is
 the one every input meets.
+
+And only ``genform.forms`` and ``genform.generalized`` read the parts of a
+value (``.components``, ``.ordinary``, ``.companion``, ``.v1``, ``.v0``):
+every other module walks a value's coefficients through its ``_map`` and
+``_coefficients``.  ``harness.py`` is exempt, because its reference
+expansions of the pair formulas are written on the parts themselves.
 """
 
 import ast
@@ -24,6 +30,8 @@ SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
 KERNEL = {"_from_ints", "_mac"}
 LIMITS = {"MAX_LITERAL_DIGITS", "_PRODUCT_BITS", "_PRINTABLE_BITS", "_fault"}
+PARTS = {"components", "ordinary", "companion", "v1", "v0"}
+PART_READERS = {"forms.py", "generalized.py", "harness.py"}
 # the field of each node kind that may hold a name
 NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
                ast.FunctionDef: "name", ast.Constant: "value"}
@@ -78,3 +86,23 @@ def test_no_module_but_session_names_the_size_limits():
 def test_the_search_finds_the_limits_where_they_are_named():
     uses = " ".join(limit_uses(SRC / "session.py"))
     assert all(f"names {name}" in uses for name in LIMITS)
+
+
+def part_uses(path: Path) -> list[str]:
+    """Each place in one source file that reads a part of a value."""
+    return [f"{path.name}:{node.lineno}: reads .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in PARTS]
+
+
+def test_no_module_but_the_value_modules_reads_the_parts_of_a_value():
+    modules = sorted(SRC.glob("*.py"))
+    assert PART_READERS | {"cli.py", "session.py"} <= {path.name for path in modules}
+    assert [use for path in modules if path.name not in PART_READERS
+            for use in part_uses(path)] == []
+
+
+def test_the_search_finds_the_parts_where_they_are_read():
+    assert any("reads .components" in use for use in part_uses(SRC / "forms.py"))
+    uses = " ".join(part_uses(SRC / "generalized.py"))
+    assert all(f"reads .{part}" in uses for part in PARTS - {"components"})
