@@ -483,7 +483,15 @@ def coordinate_vectors(chart: Chart) -> tuple[VectorField, ...]:
 
 
 def _coordinate_vector(chart: Chart, i: int) -> VectorField:
-    """The coordinate vector field of coordinate i, through the checked constructor."""
+    """The coordinate vector field of coordinate i, which must be in range."""
     comps = [chart.constant(0)] * chart.dim
     comps[i] = chart.constant(1)
-    return VectorField(chart, tuple(comps))
+    return _trusted_vector(chart, tuple(comps))
+
+
+def _basis_form(chart: Chart, indices: Key) -> Form:
+    """The basis form dx_i ^ dx_j ^ ... of the in-range ``indices``, in any order:
+    the sorted key with the parity of the sort, and zero on a repeated index."""
+    key, sign = _normalize_key(indices)
+    pairs = () if key is None else ((key, chart.constant(sign)),)
+    return _trusted_form(chart, len(indices), pairs)

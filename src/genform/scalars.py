@@ -17,10 +17,14 @@ Sums of products, the bulk of the exterior calculus above this module, go
 through one fused kernel, ``_sum_products``: it multiplies and accumulates
 every product into a single numerator map over the lcm of the operands'
 denominators (FLINT's "addmul into one accumulator") and canonicalises once,
-so no intermediate polynomial is built.  ``*`` is its sum of one product.
+so no intermediate polynomial is built.  ``*`` is its sum of one product,
+except that a product by the constant 0, 1 or -1 returns the zero, the other
+operand or its negation; likewise ``_combine`` returns the other operand of a
+sum with a zero summand, or of a difference with a zero subtrahend.  The
+chart check comes before either shortcut.
 
-Values are immutable after construction and every operation returns a new
-object, so scalar fields are safe to share between threads.  Every
+Values are immutable after construction, so scalar fields are safe to share
+between threads, and an operation may return one of its operands.  Every
 arithmetic result is built by one trusted constructor, ``_from_ints``, which
 fills the three slots through their descriptors' cached setters and checks
 nothing.  Every scalar given as (numerator, denominator, exponents) monomials
@@ -203,10 +207,24 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             _require_same_chart(self.chart, other.chart)
+            if not self._num:
+                return self
+            if not other._num:
+                return other
+            unit = _unit(other)
+            if unit:
+                return self if unit == 1 else -self
+            unit = _unit(self)
+            if unit:
+                return other if unit == 1 else -other
             return _sum_products(self.chart, ((1, self, other),))
         if isinstance(other, (int, Fraction)):
+            if other == 1 or not self._num:
+                return self
+            if not other:
+                return _from_ints(self.chart, {}, 1)
             # a rational factor scales the numerators and the denominator
-            num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
+            num = {e: c * other.numerator for e, c in self._num.items()}
             return _from_ints(self.chart, num, self._den * other.denominator)
         return NotImplemented
 
@@ -327,7 +345,12 @@ def _from_monomials(chart: Chart, monomials: Sequence[tuple[int, int, Exponents]
 
 
 def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
-    """a + sign * b over the lcm of the two denominators."""
+    """a + sign * b over the lcm of the two denominators: ``a`` itself when b is
+    zero, and ``b`` itself when a is zero and the sign is +1."""
+    if not b._num:
+        return a
+    if not a._num and sign == 1:
+        return b
     da, db = a._den, b._den
     if da == db:
         acc = dict(a._num)
@@ -346,6 +369,15 @@ def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
         else:
             del acc[e]
     return _from_ints(a.chart, acc, da)
+
+
+def _unit(f: ScalarField) -> int:
+    """1 or -1 when f is that constant, else 0."""
+    num = f._num
+    if len(num) != 1 or f._den != 1:
+        return 0
+    ((exps, c),) = num.items()
+    return c if c in (1, -1) and not any(exps) else 0
 
 
 def _mac(acc: dict[Exponents, int], a_num: dict[Exponents, int],

@@ -93,7 +93,12 @@ chain, is read as a monomial (numerator and denominator in lowest terms,
 exponents) without building a ScalarField.  ``_term`` multiplies two
 monomials directly, under the integer limit of products, and turns a
 monomial into a ScalarField only when it meets any other factor; ``_expr``
-adds a run of monomial terms with one ``scalars._from_monomials`` call.
+adds a run of monomial terms with one ``scalars._from_monomials`` call.  A
+basis block is built directly: ``dx^dy`` by ``forms._basis_form`` (the sorted
+key with the parity of the sort, zero on a repeated differential) and ``@x``
+by ``forms._coordinate_vector``, both through the trusted constructors, so a
+``coefficient*basis`` block multiplies only by the constants 0, 1 or -1 and
+a sum of blocks adds zeros, which the scalar kernel returns without work.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ from operator import add, mul
 from typing import Union
 
 from .errors import ChartMismatchError, DegreeError, ParseError
-from .forms import Form, VectorField, _coordinate_vector
+from .forms import Form, VectorField, _basis_form, _coordinate_vector
 from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import (
     Chart,
@@ -636,8 +641,7 @@ class _Parser:
         while tokens[self.pos] == "^" and self._is_differential(tokens[self.pos + 1]):
             indices.append(self.coords[tokens[self.pos + 1][1:]])
             self.pos += 2
-        return Form.from_terms(self.chart, len(indices),
-                               [(tuple(indices), self.chart.constant(1))])
+        return _basis_form(self.chart, tuple(indices))
 
     def _pair_form(self, open_at: int) -> GeneralizedForm:
         first = self._expr()

@@ -147,6 +147,52 @@ def test_rational_operands_match_reference(case, q):
     assert_matches(chart.constant(q), rq, chart)
 
 
+def _trivial_or_general(dim):
+    """Term lists of a general polynomial, or of the constant 0, 1 or -1."""
+    origin = (0,) * dim
+    return st.one_of(term_lists(dim), st.sampled_from([[], [(origin, 1)], [(origin, -1)]]))
+
+
+@kernel_settings
+@given(st.integers(1, 4), st.sampled_from([Fraction(0), Fraction(-2, 3)]), st.data())
+def test_zero_and_one_operands_match_reference(dim, k, data):
+    """A product by the constant 0, 1 or -1 and a sum with 0 skip the kernel's
+    work but must give what the reference gives, on the operands' chart, and
+    must still refuse an operand on another chart."""
+    chart = Chart(NAMES[:dim], k)
+    pairs = data.draw(_trivial_or_general(dim))
+    f = ScalarField.from_terms(chart, pairs)
+    rf = ref.normalize(dim, pairs)
+    origin = (0,) * dim
+    r0, r1, rm1 = {}, {origin: Fraction(1)}, {origin: Fraction(-1)}
+    zero, one, minus_one = chart.constant(0), chart.constant(1), chart.constant(-1)
+    results = [
+        (f * one, ref.mul(rf, r1)), (one * f, ref.mul(r1, rf)),
+        (f * zero, ref.mul(rf, r0)), (zero * f, ref.mul(r0, rf)),
+        (f * minus_one, ref.mul(rf, rm1)), (minus_one * f, ref.mul(rm1, rf)),
+        (f * 1, ref.mul(rf, r1)), (1 * f, ref.mul(r1, rf)),
+        (f * 0, ref.mul(rf, r0)), (0 * f, ref.mul(r0, rf)),
+        (f * Fraction(1), ref.mul(rf, r1)), (Fraction(1) * f, ref.mul(r1, rf)),
+        (f * Fraction(0), ref.mul(rf, r0)), (Fraction(0) * f, ref.mul(r0, rf)),
+        (f + 0, ref.add(rf, r0)), (0 + f, ref.add(r0, rf)),
+        (f - 0, ref.sub(rf, r0)), (0 - f, ref.sub(r0, rf)),
+        (f + zero, ref.add(rf, r0)), (zero + f, ref.add(r0, rf)),
+        (f - zero, ref.sub(rf, r0)), (zero - f, ref.sub(r0, rf)),
+    ]
+    for got, expected in results:
+        assert type(got) is ScalarField
+        assert got.chart == chart
+        assert_matches(got, expected, chart)
+    others = [Chart(NAMES[:dim], k + 1), Chart(tuple(n.upper() for n in NAMES[:dim]), k)]
+    for other in others:
+        for trivial in (other.constant(0), other.constant(1), other.constant(-1)):
+            for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+                with pytest.raises(ChartMismatchError):
+                    op(f, trivial)
+                with pytest.raises(ChartMismatchError):
+                    op(trivial, f)
+
+
 @kernel_settings
 @given(cases(operands=1), st.data())
 def test_diff_and_eval_match_reference(case, data):
