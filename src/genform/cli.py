@@ -5,11 +5,12 @@
     genform check ID [--dim N] [--trials T] [--seed S] [--k SPEC]
 
 ``check`` accepts an identity name P1..P17 or ``all``; ``--dim`` is 1 to
-``harness.MAX_DIMENSION`` (8); ``--k`` is ``random``, ``zero`` or a rational
-read as an ``--at`` value is, such as ``2/3`` or ``--k=-2/3`` (argparse reads
-``--k -2/3`` as an option).  Results go to stdout, diagnostics to stderr as
-``line:col: code: message``.  Exit status: 0 on success, 1 when an identity
-check finds a counterexample, 2 for usage or parse errors.
+``harness.MAX_DIMENSION`` (8); ``--trials`` is at least 1; ``--k`` is
+``random``, ``zero`` or a rational read as an ``--at`` value is, such as
+``2/3`` or ``--k=-2/3`` (argparse reads ``--k -2/3`` as an option).
+Results go to stdout, diagnostics to stderr as ``line:col: code: message``.
+Exit status: 0 on success, 1 when an identity check finds a counterexample, 2
+for usage or parse errors.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _cmd_check(args) -> int:
         _diag(f"genform: E_USAGE: unknown identity '{args.identity}'")
         return 2
     try:
+        if args.trials < 1:
+            raise ValueError("trials must be positive")
         cfg = GenConfig(seed=args.seed, dimension=args.dim, k=parse_k_spec(args.k))
     except ValueError as exc:
         _diag(f"genform: E_USAGE: {exc}")

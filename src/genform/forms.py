@@ -383,9 +383,9 @@ def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:
 
 # ---------------------------------------------------------------------------
 # Accumulators.  Each appends the (sign, a, b) products of one operation,
-# scaled by an integer ``sign``, to ``groups``, a map from output index tuple
-# to products, or to ``triples``, the products of one scalar.  Operands must
-# share one chart; nothing checks it.
+# scaled by an integer ``sign`` where it takes one, to ``groups``, a map from
+# output index tuple to products, or to ``triples``, the products of one
+# scalar.  Operands must share one chart; nothing checks it.
 
 
 def _wedge_into(groups: Groups, a: Form, b: Form, sign: int = 1) -> None:
@@ -397,15 +397,15 @@ def _wedge_into(groups: Groups, a: Form, b: Form, sign: int = 1) -> None:
                 groups.setdefault(key, []).append((sign * parity, pa, pb))
 
 
-def _contract_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
-    """sign * i_v a: slot j is dropped with sign (-1)^j."""
+def _contract_into(groups: Groups, v: VectorField, a: Form) -> None:
+    """i_v a: slot j is dropped with sign (-1)^j."""
     comps = v.components
     for key, poly in a.components.items():
         for j, idx in enumerate(key):
             comp = comps[idx]
             if comp:
                 groups.setdefault(key[:j] + key[j + 1:], []).append(
-                    (-sign if j & 1 else sign, comp, poly))
+                    (-1 if j & 1 else 1, comp, poly))
 
 
 def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:
@@ -436,8 +436,8 @@ def _apply_into(triples: list, v: VectorField, f: ScalarField, sign: int = 1) ->
                 triples.append((sign, comp, df))
 
 
-def _lie_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
-    """sign * L_v a by the coordinate formula.
+def _lie_into(groups: Groups, v: VectorField, a: Form) -> None:
+    """L_v a by the coordinate formula.
 
     Coefficient I gets v(a_I), and for each slot s of I and each coordinate
     j the term a_I d_j v^{i_s} on I with slot s replaced by j (L_v dx^i is
@@ -448,7 +448,7 @@ def _lie_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
     dv: dict[int, list[ScalarField]] = {}  # i -> the partials of v^i, on first use
     for key, poly in a.components.items():
         triples = groups.setdefault(key, [])
-        _apply_into(triples, v, poly, sign)
+        _apply_into(triples, v, poly)
         for s, i in enumerate(key):
             row = dv.get(i)
             if row is None:
@@ -457,7 +457,7 @@ def _lie_into(groups: Groups, v: VectorField, a: Form, sign: int = 1) -> None:
                 if dvi:
                     new, parity = _normalize_key(key[:s] + (j,) + key[s + 1:])
                     if new is not None:
-                        groups.setdefault(new, []).append((sign * parity, poly, dvi))
+                        groups.setdefault(new, []).append((parity, poly, dvi))
 
 
 def _bracket_rows(v: VectorField, w: VectorField) -> list[list]:

@@ -45,6 +45,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, attrgetter
+from types import MappingProxyType
 
 from .errors import ChartMismatchError
 
@@ -155,8 +156,9 @@ class ScalarField:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        """The coefficients as a read-only ``{exponents: Fraction}`` view."""
-        return _Terms(self._num, self._den)
+        """The coefficients as a fresh read-only ``{exponents: Fraction}`` mapping."""
+        den = self._den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -280,30 +282,7 @@ class ScalarField:
     def __str__(self) -> str:
         return poly_str(self)
 
-    def __repr__(self) -> str:
-        return poly_str(self)
-
-
-class _Terms(Mapping):
-    """Read-only ``{exponents: Fraction}`` view of one scalar field's coefficients."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: dict[Exponents, int], den: int):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, exps: Exponents) -> Fraction:
-        return Fraction(self._num[exps], self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

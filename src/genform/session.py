@@ -38,8 +38,8 @@ increasing d-indices, explicit ``-1*`` leading coefficients) chosen so that
 parsing, printing and re-parsing is the identity on parsed sessions.
 
 Diagnostics carry a position and one of the stable codes E_LEX, E_PARSE,
-E_NAME, E_REDEF, E_TYPE, E_DEGREE, E_CHART.  Crossing any of these limits
-is an E_PARSE error:
+E_NAME, E_REDEF, E_TYPE, E_DEGREE.  Crossing any of these limits is an
+E_PARSE error:
 
 - expressions nest at most ``MAX_NESTING`` levels deep (parentheses, pair
   brackets and operation calls each open a level), which keeps the
@@ -111,7 +111,7 @@ from math import gcd
 from operator import add, mul
 from typing import Union
 
-from .errors import ChartMismatchError, DegreeError, ParseError
+from .errors import DegreeError, ParseError
 from .forms import Form, VectorField, _basis_form, _coordinate_vector
 from .generalized import GeneralizedForm, GeneralizedVector
 from .scalars import (
@@ -703,8 +703,6 @@ class _Parser:
             return _collapse(compute(self, name_at, *args))
         except DegreeError as exc:
             self._err(name_at, "E_DEGREE", str(exc))
-        except ChartMismatchError as exc:
-            self._err(name_at, "E_CHART", str(exc))
 
     def _add(self, a: Value, b: Value, at: int) -> Value:
         if _kind(a) == _kind(b):

@@ -215,3 +215,14 @@ def test_check_dim_is_bounded(capsys):
     status, out, err = run(capsys, ["check", "all", "--dim", "8", "--trials", "1"])
     assert status == 0 and err == ""
     assert out.count("pass (1 trials)") == 17
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_trials_below_one_is_a_usage_error(capsys, monkeypatch, trials):
+    def refuse(*args):
+        raise AssertionError("an identity ran")
+
+    monkeypatch.setattr("genform.cli.run_identity", refuse)
+    for identity in ("P1", "all"):
+        status, out, err = run(capsys, ["check", identity, "--trials", trials])
+        assert (status, out, err) == (2, "", "genform: E_USAGE: trials must be positive\n")
