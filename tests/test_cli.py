@@ -62,6 +62,9 @@ def test_eval_bad_point(session_file, capsys):
         status, _, err = run(capsys, ["eval", path, "f", "--at", bad])
         assert status == 2
         assert "E_POINT" in err
+    status, out, err = run(capsys, ["eval", path, "f", "--at", "x"])
+    assert (status, out) == (2, "x\n")
+    assert err == "genform: E_POINT: bad binding 'x': expected name=value\n"
     # values at the point that would not print: refused after the work, or before it
     for bad in ("x=100000,y=1", "x=1e200000,y=1", f"x={'9' * MAX_LITERAL_DIGITS},y=1"):
         status, out, err = run(capsys, ["eval", path, "g", "--at", bad])

@@ -76,26 +76,14 @@ def test_raises(call, error, message):
     assert str(caught.value) == message
 
 
-@pytest.fixture
-def session_path(tmp_path):
-    path = tmp_path / "session.gf"
-    path.write_text("chart x, y\na = x*dy\nb = d(a)\n", encoding="utf-8")
-    return str(path)
-
-
-def test_eval_binding_without_value(session_path, capsys):
-    assert main(["eval", session_path, "a", "--at", "x"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "x*dy\n"
-    assert captured.err == "genform: E_POINT: bad binding 'x': expected name=value\n"
-
-
-def test_chart_mismatch_inside_an_operation_is_a_plain_error(session_path, capsys, monkeypatch):
+def test_chart_mismatch_inside_an_operation_is_a_plain_error(tmp_path, capsys, monkeypatch):
     def mismatch(self):
         raise ChartMismatchError("operands live on different charts")
 
+    path = tmp_path / "session.gf"
+    path.write_text("chart x, y\na = x*dy\nb = d(a)\n", encoding="utf-8")
     monkeypatch.setattr(Form, "d", mismatch)
-    assert main(["show", session_path]) == 2
+    assert main(["show", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "genform: error: operands live on different charts\n"

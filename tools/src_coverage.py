@@ -1,19 +1,18 @@
-"""List the lines of a package that a pytest run never executes.
+"""List the lines of ``src/genform`` that the test suite never executes.
 
-Runs pytest in this process under ``sys.settrace``, recording only the lines
-of code objects whose file lies in the package directory, then prints
+Runs ``pytest -q -p no:cacheprovider tests`` in this process under
+``sys.settrace``, with ``src`` first on ``sys.path``, recording only the lines
+of code objects whose file lies in ``src/genform``, then prints
 ``file:line: source`` for every line that ``co_lines()`` marks executable and
 that never ran.  It needs nothing beyond the standard library and pytest,
 not coverage.py.  Run from the repository root::
 
-    python tools/src_coverage.py [PACKAGE_DIR] [-- PYTEST_ARGS...]
+    python tools/src_coverage.py
 
-PACKAGE_DIR defaults to ``src/genform`` and the pytest arguments to ``-q
--p no:cacheprovider tests``; the package's parent directory goes first on
-``sys.path``.  Lines run only in child processes, such as a test that starts
-``python -m genform.cli`` or the benchmark in a subprocess, are not seen and
-are reported as never executed; so are lines run only in threads other than the
-main one.  The exit status is pytest's.
+Lines run only in child processes, such as a test that starts ``python -m
+genform.cli`` or the benchmark in a subprocess, are not seen and are reported
+as never executed; so are lines run only in threads other than the main one.
+The exit status is pytest's.
 """
 
 import os
@@ -31,13 +30,8 @@ def executable_lines(code: types.CodeType) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    args = argv[1:]
-    pytest_args = ["-q", "-p", "no:cacheprovider", "tests"]
-    if "--" in args:
-        cut = args.index("--")
-        args, pytest_args = args[:cut], args[cut + 1:]
-    package = Path(args[0] if args else "src/genform").resolve()
+def main() -> int:
+    package = Path("src/genform").resolve()
     sys.path.insert(0, str(package.parent))
     prefix = str(package) + "/"
     ran: dict[str, set[int]] = {}
@@ -58,7 +52,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(scope)
     try:
-        status = pytest.main(pytest_args)
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
 
@@ -73,4 +67,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
