@@ -159,7 +159,7 @@ class Form:
 
     @classmethod
     def from_scalar(cls, f: ScalarField) -> "Form":
-        return cls(f.chart, 0, {(): f})
+        return _trusted_form(f.chart, 0, [((), f)])
 
     @property
     def is_zero(self) -> bool:
@@ -473,8 +473,7 @@ def _bracket_rows(v: VectorField, w: VectorField) -> list[list]:
 
 def one_forms(chart: Chart) -> tuple[Form, ...]:
     """The coordinate differentials dx_0, ..., dx_{n-1}."""
-    one = chart.constant(1)
-    return tuple(Form(chart, 1, {(i,): one}) for i in range(chart.dim))
+    return tuple(_basis_form(chart, (i,)) for i in range(chart.dim))
 
 
 def coordinate_vectors(chart: Chart) -> tuple[VectorField, ...]:

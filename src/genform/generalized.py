@@ -28,9 +28,11 @@ bracket under which generalized vector fields form a Lie algebra.  The
 sign conventions above are normative and the identity suite guards them;
 do not swap them for rearranged equivalents.
 
-Degrees outside [-1, n] can only arise for identically zero pairs and are
-clamped back into range by ``_trusted_pair``, the one place that knows the
-range; zero pairs compare equal regardless of degree tag.
+Every pair result carries the degree its formula gives: p + q for wedge,
+p + 1 for d, p - 1 for contract and cartan_residual, p for lie and
+lie_cartan.  A nonzero pair lies in [-1, n], since its nonzero part does;
+a zero result may fall outside, as a zero ``Form`` may, and zero pairs
+compare equal whatever their degree tag.
 
 Each coefficient of a result of wedge, d, contract, scaled_by, lie or
 commutator is one call of the scalar kernel's fused sum of products: the slot
@@ -46,11 +48,10 @@ independent computations.
 Both pair types are slotted frozen dataclasses.  ``GeneralizedForm(...)``
 and ``GeneralizedVector(...)`` check charts and degrees; every operation
 result goes through one private trusted constructor per type,
-``_trusted_pair`` (which keeps the clamp of out-of-range zero pairs) and
-``_trusted_gvector``, which check nothing.  The checked constructor of a
-pair form takes its parts from ``_trusted_pair`` too.  Each pair type's
-``_map`` and ``_coefficients`` walk its two parts with theirs, so unary
-``-`` and scalar ``*``, bound from :mod:`genform.forms`, act slot by slot.
+``_trusted_pair`` and ``_trusted_gvector``, which check nothing.  Each pair
+type's ``_map`` and ``_coefficients`` walk its two parts with theirs, so
+unary ``-`` and scalar ``*``, bound from :mod:`genform.forms`, act slot by
+slot.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .forms import (
     _fused_vector,
     _lie_into,
     _scale_into,
-    _trusted_form,
     _wedge_into,
 )
 from .forms import _neg, _nonzero, _rmul, _sub  # the rules every value type shares
@@ -97,9 +97,6 @@ class GeneralizedForm:
                 f"companion degree {self.companion.degree} does not follow "
                 f"ordinary degree {self.ordinary.degree}"
             )
-        clamped = _trusted_pair(self.ordinary, self.companion)
-        _set_ordinary(self, clamped.ordinary)
-        _set_companion(self, clamped.companion)
 
     @property
     def chart(self) -> Chart:
@@ -324,17 +321,8 @@ _set_v0 = GeneralizedVector.v0.__set__
 
 
 def _trusted_pair(ordinary: Form, companion: Form) -> GeneralizedForm:
-    """The pair (ordinary, companion); the companion's degree must follow.
-
-    A pair degree outside [-1, n] only arises when both parts are zero, and
-    is clamped back into range.
-    """
-    p = ordinary.degree
-    chart = ordinary.chart
-    if p < -1 or p > chart.dim:
-        p = max(-1, min(chart.dim, p))
-        ordinary = _trusted_form(chart, p, ())
-        companion = _trusted_form(chart, p + 1, ())
+    """The pair (ordinary, companion); both must live on one chart and the
+    companion's degree must follow."""
     a = object.__new__(GeneralizedForm)
     _set_ordinary(a, ordinary)
     _set_companion(a, companion)

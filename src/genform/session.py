@@ -710,9 +710,9 @@ class _Parser:
                 return a + b
             except DegreeError as exc:
                 self._err(at, "E_DEGREE", str(exc))
-        if getattr(a, "is_zero", False):
+        if a.is_zero:
             return b
-        if getattr(b, "is_zero", False):
+        if b.is_zero:
             return a
         self._err(at, "E_TYPE", f"cannot add {_kind(a)} and {_kind(b)}")
 

@@ -292,14 +292,31 @@ class TestPairInvariants:
         with pytest.raises(DegreeError):
             GeneralizedForm(dx, dy)
 
-    def test_out_of_range_zero_is_clamped(self):
-        ch, *_ = setup_chart()
-        low = GeneralizedForm(Form.zero(ch, -1), Form.zero(ch, 0))
-        squashed = low.wedge(low)
-        assert squashed.is_zero
-        assert -1 <= squashed.degree <= ch.dim
-
     def test_scalar_multiplication_scales_both_parts(self):
         ch, x, y, dx, dy, ex, ey = setup_chart()
         a = pair(y * dx, x * dx.wedge(dy))
         assert x * a == pair((x * y) * dx, (x * x) * dx.wedge(dy))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_results_carry_their_formula_degree(n):
+    """Each pair operation tags its result with its formula's degree, zero or not."""
+    chart = Chart(("x", "y", "z", "w")[:n], Fraction(-2, 3))
+    zero = GeneralizedVector.zero(chart)
+    wrong, zeros = [], 0
+    for seed in range(4):
+        cfg = GenConfig(seed=seed, dimension=n, k=chart.k)
+        drawn = (gen_gvector(cfg, ("V",), chart), gen_gvector(cfg, ("W",), chart))
+        forms = {p: gen_gform(cfg, p, ("a",), chart) for p in range(-1, n + 1)}
+        for p, a in forms.items():
+            cases = [(f"wedge q={q}", a.wedge(b), p + q) for q, b in forms.items()]
+            cases += [("d", a.d(), p + 1), ("d d", a.d().d(), p + 2)]
+            for V, W in (drawn, (zero, zero)):
+                cases += [("contract", V.contract(a), p - 1), ("lie", V.lie(a), p),
+                          ("lie_cartan", V.lie_cartan(a), p),
+                          ("cartan_residual", cartan_residual(V, W, a), p - 1)]
+            wrong += [(seed, p, name, got.degree, degree)
+                      for name, got, degree in cases if got.degree != degree]
+            zeros += sum(got.is_zero for _, got, _ in cases)
+    assert wrong == []
+    assert zeros > 0

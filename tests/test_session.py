@@ -182,6 +182,16 @@ def test_diagnostic_position_is_exact():
     assert (info.value.line, info.value.col) == (2, 9)
 
 
+@pytest.mark.parametrize("pair, degree", [
+    ("I(V, [0 ; 1])", -2),
+    ("d([x*dx^dy ; 0])", 3),
+])
+def test_scaling_by_a_zero_pair_reports_its_formula_degree(pair, degree):
+    with pytest.raises(ParseError) as info:
+        parse_session(f"chart x, y\nV = {{@x ; 1}}\nB = scale({pair}, V)")
+    assert str(info.value) == f"3:5: E_DEGREE: scaling needs a degree-0 pair, got degree {degree}"
+
+
 def test_empty_definition_list_renders_chart_line_only():
     session = parse_session("chart x, y k=3/4")
     assert session.render() == "chart x, y k=3/4\n"

@@ -4,8 +4,8 @@ Operation results and trial inputs skip the checks of ``Form(...)``,
 ``VectorField(...)``, ``GeneralizedForm(...)`` and ``GeneralizedVector(...)``.
 Each value below is rebuilt through those public constructors from its parts:
 the rebuild must not raise, must compare equal and must keep every degree
-tag.  Forms must hold no zero coefficient and pair degrees must lie in
-[-1, n].  The value types stay frozen, and copy and pickle round trips keep
+tag.  Forms must hold no zero coefficient and nonzero pair degrees must lie
+in [-1, n].  The value types stay frozen, and copy and pickle round trips keep
 them equal.
 """
 
@@ -66,7 +66,7 @@ def assert_sound(value):
             assert comp.chart is value.chart or comp.chart == value.chart
             assert_canonical(comp)
     elif isinstance(value, GeneralizedForm):
-        assert -1 <= value.degree <= n
+        assert value.is_zero or -1 <= value.degree <= n
         assert value.companion.degree == value.degree + 1
         assert again.degree == value.degree
         assert_sound(value.ordinary)
@@ -108,17 +108,19 @@ def test_trial_inputs_rebuild_through_the_public_constructors(dim, k):
                 assert_sound(value)
 
 
-def test_out_of_range_zero_pairs_are_clamped_by_operations():
+def test_zero_pair_results_carry_their_formula_degree():
     chart = Chart(("x", "y"), 1)
     x, y = chart.coordinates()
     top = GeneralizedForm(Form(chart, 2, {(0, 1): x}), Form.zero(chart, 3))
-    assert top.d().degree == 2  # the pair degree 3 is clamped to n
+    assert top.d().degree == 3
     bottom = GeneralizedForm(Form.zero(chart, -1), Form(chart, 0, {(): y}))
     V = GeneralizedVector(VectorField(chart, (x, y)), x)
-    assert V.contract(bottom).degree == -1  # the pair degree -2 is clamped to -1
-    assert GeneralizedForm.zero(chart, 7).degree == 2
-    assert GeneralizedForm.zero(chart, -4).degree == -1
-    for value in (top.d(), V.contract(bottom)):
+    assert V.contract(bottom).degree == -2
+    assert bottom.wedge(bottom).degree == -2
+    assert GeneralizedForm.zero(chart, 7).degree == 7
+    assert GeneralizedForm.zero(chart, -4).degree == -4
+    for value in (top.d(), V.contract(bottom), GeneralizedForm.zero(chart, 7)):
+        assert value.is_zero
         assert_sound(value)
 
 

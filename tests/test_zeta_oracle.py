@@ -3,8 +3,8 @@
 At dims 1-4, for k = 0 and k != 0 and a few fixed seeds, each operation
 runs on every pair degree in [-1, n] (every degree pair for wedge).  A pair
 form result is compared with the oracle's as one element a_p + a_{p+1} ∧ ζ
-together with its degree, unless it is zero, and a pair vector result by its
-parts.
+together with its degree, which is the generator rule's degree even for a
+zero result, and a pair vector result by its parts.
 """
 
 from fractions import Fraction
@@ -33,9 +33,8 @@ def comparisons(n):
             at = f"k={k} seed={seed}"
 
             def form_case(name, result, degree, expected):
-                # a zero pair's degree tag carries nothing: zero pairs of any degree are equal
-                return (f"{name} {at}", (result.degree if result else None, pair_element(result)),
-                        (degree if expected else None, expected))
+                return (f"{name} {at}", (result.degree, pair_element(result)),
+                        (degree, expected))
 
             for p, a in forms.items():
                 e = pair_element(a)
