@@ -292,6 +292,14 @@ class TestPairInvariants:
         with pytest.raises(DegreeError):
             GeneralizedForm(dx, dy)
 
+    def test_out_of_range_zero_keeps_its_formula_degree(self):
+        ch, *_ = setup_chart()
+        low = GeneralizedForm(Form.zero(ch, -1), Form.zero(ch, 0))
+        squashed = low.wedge(low)
+        assert squashed.is_zero
+        assert squashed.degree == -2
+        assert squashed.companion.degree == -1
+
     def test_scalar_multiplication_scales_both_parts(self):
         ch, x, y, dx, dy, ex, ey = setup_chart()
         a = pair(y * dx, x * dx.wedge(dy))
