@@ -39,9 +39,14 @@ value of the same type with ``fn`` applied to each coefficient, built by the
 type's trusted constructor, and ``_coefficients()`` lists them; the pair
 types of :mod:`genform.generalized` build both from their parts', and
 ``ScalarField`` is its own one coefficient.  The rules the value types share
-are written once here and bound by name in each class: ``-`` between two
-values (``_sub``), truth (``_nonzero``), unary ``-`` (``_neg``) and scalar
-``*`` (``_rmul``), the last two through ``_map``.
+are written once here: ``-`` between two values (``_sub``), truth
+(``_nonzero``), unary ``-`` (``_neg``) and scalar ``*`` (``_rmul``), the
+last two through ``_map``.  One class decorator, ``_value_type``, declares
+``Form``, ``VectorField`` and both pair types: it makes the class a slotted
+frozen dataclass, seals it with ``scalars._sealed`` (no assignment, no hash,
+``repr`` is ``str``) and binds the four rules into the class's own
+``__dict__``, so no base class is needed and every operator stays an
+attribute of its own class.
 """
 
 from __future__ import annotations
@@ -82,8 +87,8 @@ def _normalize_key(key: Key) -> tuple[Key | None, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rules shared by the four value types here and in ``generalized``, bound by
-# name in each class body, so every operator stays in its class's ``__dict__``.
+# Rules shared by the four value types here and in ``generalized``, which
+# ``_value_type`` binds into each class's own ``__dict__``.
 
 
 def _nonzero(self) -> bool:
@@ -111,8 +116,15 @@ def _rmul(self, factor):
     return self._map(lambda c: factor * c)
 
 
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+def _value_type(cls):
+    """Make cls a slotted frozen dataclass, seal it (``scalars._sealed``) and
+    bind the shared rules as its truth, unary ``-``, ``-`` and scalar ``*``."""
+    cls = _sealed(dataclass(frozen=True, eq=False, repr=False, slots=True)(cls))
+    cls.__bool__, cls.__neg__, cls.__sub__, cls.__rmul__ = _nonzero, _neg, _sub, _rmul
+    return cls
+
+
+@_value_type
 class Form:
     """An antisymmetric p-form with exact polynomial coefficients."""
 
@@ -165,15 +177,11 @@ class Form:
     def is_zero(self) -> bool:
         return not self.components
 
-    __bool__ = _nonzero
-
     def __eq__(self, other) -> bool:
         # a key's length is the degree, so zero is degree-agnostic
         if not isinstance(other, Form):
             return NotImplemented
         return self.chart == other.chart and self.components == other.components
-
-    __hash__ = None
 
     def scalar_part(self) -> ScalarField:
         """The () component of a degree <= 0 form (zero if absent)."""
@@ -204,10 +212,6 @@ class Form:
     def _coefficients(self) -> list[ScalarField]:
         return list(self.components.values())
 
-    __neg__ = _neg
-    __sub__ = _sub
-    __rmul__ = _rmul
-
     def wedge(self, other: "Form") -> "Form":
         """Antisymmetrized product; degree adds, repeated indices cancel."""
         _require_same_chart(self.chart, other.chart)
@@ -228,11 +232,8 @@ class Form:
         return _basis_sum((self.components[key], "^".join(f"d{names[i]}" for i in key))
                           for key in sorted(self.components))
 
-    __repr__ = __str__
 
-
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_value_type
 class VectorField:
     """An ordinary vector field: one scalar component per coordinate."""
 
@@ -258,14 +259,10 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    __bool__ = _nonzero
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
         return self.components == other.components  # scalar equality compares charts
-
-    __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -279,10 +276,6 @@ class VectorField:
 
     def _coefficients(self) -> list[ScalarField]:
         return list(self.components)
-
-    __neg__ = _neg
-    __sub__ = _sub
-    __rmul__ = _rmul
 
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
@@ -313,8 +306,6 @@ class VectorField:
     def __str__(self) -> str:
         pairs = zip(self.components, self.chart.names)
         return _basis_sum((comp, f"@{name}") for comp, name in pairs if not comp.is_zero)
-
-    __repr__ = __str__
 
 
 def _basis_sum(pairs: Iterable[tuple[ScalarField, str]]) -> str:

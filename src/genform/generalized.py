@@ -45,21 +45,21 @@ L_{v1} uses the coordinate formula, while lie_cartan stays the literal
 composition I_V d + d I_V, so the identities relating the two compare
 independent computations.
 
-Both pair types are slotted frozen dataclasses.  ``GeneralizedForm(...)``
-and ``GeneralizedVector(...)`` check charts and degrees; every operation
-result goes through one private trusted constructor per type,
-``_trusted_pair`` and ``_trusted_gvector``, which check nothing.  Each pair
-type's ``_map`` and ``_coefficients`` walk its two parts with theirs, so
-unary ``-`` and scalar ``*``, bound from :mod:`genform.forms`, act slot by
-slot.
+Both pair types are declared by ``_value_type`` of :mod:`genform.forms`, as
+``Form`` and ``VectorField`` are, which makes each a sealed slotted frozen
+dataclass with the shared rules in its own ``__dict__``.
+``GeneralizedForm(...)`` and ``GeneralizedVector(...)`` check charts and
+degrees; every operation result goes through one private trusted
+constructor per type, ``_trusted_pair`` and ``_trusted_gvector``, which
+check nothing.  Each pair type's ``_map`` and ``_coefficients`` walk its two
+parts with theirs, so unary ``-`` and scalar ``*`` act slot by slot;
+scaling a pair vector by a pair zero-form is ``scaled_by``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Chart, ScalarField, _require_same_chart, _sealed, _sum_products
+from .scalars import Chart, ScalarField, _require_same_chart, _sum_products
 from .forms import (
     Form,
     Groups,
@@ -72,17 +72,16 @@ from .forms import (
     _fused_vector,
     _lie_into,
     _scale_into,
+    _value_type,
     _wedge_into,
 )
-from .forms import _neg, _nonzero, _rmul, _sub  # the rules every value type shares
 
 
 def _sign(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_value_type
 class GeneralizedForm:
     """An ordered pair of an ordinary p-form and an ordinary (p+1)-form."""
 
@@ -119,15 +118,11 @@ class GeneralizedForm:
     def is_zero(self) -> bool:
         return self.ordinary.is_zero and self.companion.is_zero
 
-    __bool__ = _nonzero
-
     def __eq__(self, other) -> bool:
         # form equality decides charts and degrees: zero slots are degree-agnostic
         if not isinstance(other, GeneralizedForm):
             return NotImplemented
         return self.ordinary == other.ordinary and self.companion == other.companion
-
-    __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, GeneralizedForm):
@@ -147,10 +142,6 @@ class GeneralizedForm:
 
     def _coefficients(self) -> list[ScalarField]:
         return self.ordinary._coefficients() + self.companion._coefficients()
-
-    __neg__ = _neg
-    __sub__ = _sub
-    __rmul__ = _rmul  # ordinary scalar multiplication: both slots scale
 
     def wedge(self, other: "GeneralizedForm") -> "GeneralizedForm":
         _require_same_chart(self.chart, other.chart)
@@ -172,11 +163,8 @@ class GeneralizedForm:
     def __str__(self) -> str:
         return f"[{self.ordinary} ; {self.companion}]"
 
-    __repr__ = __str__
 
-
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@_value_type
 class GeneralizedVector:
     """An ordered pair of an ordinary vector field and an ordinary scalar field."""
 
@@ -204,14 +192,10 @@ class GeneralizedVector:
     def is_zero(self) -> bool:
         return self.v1.is_zero and self.v0.is_zero
 
-    __bool__ = _nonzero
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralizedVector):
             return NotImplemented
         return self.v1 == other.v1 and self.v0 == other.v0
-
-    __hash__ = None
 
     def __add__(self, other):
         if not isinstance(other, GeneralizedVector):
@@ -223,10 +207,6 @@ class GeneralizedVector:
 
     def _coefficients(self) -> list[ScalarField]:
         return self.v1._coefficients() + self.v0._coefficients()
-
-    __neg__ = _neg
-    __sub__ = _sub
-    __rmul__ = _rmul  # linear only under ordinary scalars; zero-form scaling is scaled_by
 
     def scaled_by(self, a0: GeneralizedForm) -> "GeneralizedVector":
         """Scale by a generalized zero-form: a0 V = (a0_0 v1, a0_0 v0 + i_{v1} a0_1)."""
@@ -289,8 +269,6 @@ class GeneralizedVector:
 
     def __str__(self) -> str:
         return f"{{{self.v1} ; {self.v0}}}"
-
-    __repr__ = __str__
 
 
 def cartan_residual(V: GeneralizedVector, W: GeneralizedVector,

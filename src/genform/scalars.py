@@ -103,15 +103,19 @@ def _refuse_deletion(self, name):
 
 
 def _sealed(cls):
-    """Make every assignment or deletion of an attribute of cls's instances raise.
+    """Set the rules every value type shares in cls's own ``__dict__``: its
+    instances are frozen and unhashable, and ``repr`` is cls's ``__str__``.
 
-    ``dataclass(frozen=True, slots=True)`` does so itself only for the fields
-    on Python 3.11: it builds a new class to hold the slots, and its generated
-    ``__setattr__`` still refers to the old one, so any other name ends in a
-    ``TypeError`` rather than ``FrozenInstanceError``.
+    Every assignment or deletion of an attribute raises
+    ``FrozenInstanceError``.  ``dataclass(frozen=True, slots=True)`` does so
+    itself only for the fields on Python 3.11: it builds a new class to hold
+    the slots, and its generated ``__setattr__`` still refers to the old one,
+    so any other name ends in a ``TypeError``.
     """
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
+    cls.__hash__ = None
+    cls.__repr__ = cls.__str__
     return cls
 
 
@@ -172,8 +176,6 @@ class ScalarField:
             return NotImplemented
         return ((self.chart is other.chart or self.chart == other.chart)
                 and self._den == other._den and self._num == other._num)
-
-    __hash__ = None  # mutable-value semantics: equal fields need not share a hash
 
     def _coerce(self, other) -> "ScalarField | None":
         if isinstance(other, ScalarField):
@@ -281,8 +283,6 @@ class ScalarField:
 
     def __str__(self) -> str:
         return poly_str(self)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

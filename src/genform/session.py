@@ -412,6 +412,11 @@ class _Parser:
                 self._err(at, "E_PARSE", f"coordinate name '{name}' is reserved")
             if name in names:
                 self._err(at, "E_PARSE", f"duplicate coordinate '{name}'")
+            for other in names:
+                if "d" + other == name or "d" + name == other:
+                    short, long = sorted((other, name), key=len)
+                    self._err(at, "E_PARSE",
+                              f"coordinate '{long}' collides with the differential of '{short}'")
             names.append(name)
             self.pos = at + 1
             if tokens[self.pos] != ",":

@@ -19,12 +19,21 @@ value (``.components``, ``.ordinary``, ``.companion``, ``.v1``, ``.v0``):
 every other module walks a value's coefficients through its ``_map`` and
 ``_coefficients``.  ``harness.py`` is exempt, because its reference
 expansions of the pair formulas are written on the parts themselves.
+
+The benchmark's tracer (``bench/tracer.py``) wraps each method it patches by
+reading it from its class's own ``__dict__``, so every patched method must be
+defined or bound in that class, not inherited.  The value types therefore
+have no base but ``object``, and the rules they share are bound into each
+class by ``forms._value_type`` and ``scalars._sealed``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import genform
+from genform import Form, GeneralizedForm, GeneralizedVector, ScalarField, VectorField, forms
 
 SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
@@ -106,3 +115,40 @@ def test_the_search_finds_the_parts_where_they_are_read():
     assert any("reads .components" in use for use in part_uses(SRC / "forms.py"))
     uses = " ".join(part_uses(SRC / "generalized.py"))
     assert all(f"reads .{part}" in uses for part in PARTS - {"components"})
+
+
+VALUE_TYPES = (ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector)
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def tracer_patches() -> dict:
+    """The tracer's ``PATCHES`` table: layer -> class name (or None) -> attribute -> op."""
+    spec = importlib.util.spec_from_file_location("genform_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # the tracer imports only the standard library
+    return tracer.PATCHES
+
+
+def test_every_method_the_tracer_patches_is_in_its_class_own_dict():
+    patched = {}
+    for layer, groups in tracer_patches().items():
+        module = importlib.import_module(f"genform.{layer}")
+        for owner, attrs in groups.items():
+            if owner is not None:
+                patched[getattr(module, owner)] = set(attrs)
+    assert set(VALUE_TYPES) <= set(patched)
+    assert {cls.__name__: sorted(attrs - set(vars(cls))) for cls, attrs in patched.items()} == {
+        cls.__name__: [] for cls in patched}
+
+
+def test_the_shared_rules_are_bound_into_each_value_type():
+    for cls in VALUE_TYPES:
+        own = vars(cls)
+        assert cls.__bases__ == (object,)
+        assert own["__hash__"] is None
+        assert own["__repr__"] is own["__str__"]
+        if cls is not ScalarField:  # its own faster operators
+            assert own["__bool__"] is forms._nonzero
+            assert own["__neg__"] is forms._neg
+            assert own["__sub__"] is forms._sub
+            assert own["__rmul__"] is forms._rmul

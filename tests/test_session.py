@@ -167,6 +167,8 @@ def test_smul_and_add():
     ("chart x, y\nf = d(x", "E_PARSE"),
     ("chart wedge\nf = 1", "E_PARSE"),        # reserved coordinate name
     ("chart x, x\nf = 1", "E_PARSE"),         # duplicate coordinate
+    ("chart x, dx\nf = 1", "E_PARSE"),        # a coordinate named like a differential
+    ("chart dx, x\nf = 1", "E_PARSE"),
     ("chart x\nf = 1/0", "E_PARSE"),
 ])
 def test_diagnostic_codes(text, code):
@@ -180,6 +182,15 @@ def test_diagnostic_position_is_exact():
     with pytest.raises(ParseError) as info:
         parse_session("chart x, y\nf = x + nope")
     assert (info.value.line, info.value.col) == (2, 9)
+
+
+@pytest.mark.parametrize("text, col", [("chart x, dx\nf = 1", 10), ("chart dx, x\nf = 1", 11)])
+def test_coordinate_named_like_a_differential_is_refused_at_the_later_name(text, col):
+    # `show` would print the 1-form d(x) as `dx`, which would read back as the coordinate
+    with pytest.raises(ParseError) as info:
+        parse_session(text)
+    assert str(info.value) == (f"1:{col}: E_PARSE: coordinate 'dx' collides with the "
+                               "differential of 'x'")
 
 
 @pytest.mark.parametrize("pair, degree", [

@@ -5,8 +5,8 @@ Operation results and trial inputs skip the checks of ``Form(...)``,
 Each value below is rebuilt through those public constructors from its parts:
 the rebuild must not raise, must compare equal and must keep every degree
 tag.  Forms must hold no zero coefficient and nonzero pair degrees must lie
-in [-1, n].  The value types stay frozen, and copy and pickle round trips keep
-them equal.
+in [-1, n].  The value types stay frozen and unhashable, print the same by
+``repr`` and ``str``, and copy and pickle round trips keep them equal.
 """
 
 import copy
@@ -148,3 +148,7 @@ def test_values_stay_frozen_and_copyable(value):
             assert again.dim == value.dim == 2
         if isinstance(value, (Form, GeneralizedForm)):
             assert again.degree == value.degree
+    if not isinstance(value, Chart):  # a chart is a hashable dataclass
+        with pytest.raises(TypeError):
+            hash(value)
+        assert repr(value) == str(value)

@@ -1,15 +1,14 @@
-"""Print the line count and the code-line count of each module of a package.
+"""Print the line count and the code-line count of each module of ``src/genform``.
 
 Code lines are the lines that are not blank, not only a comment and not
 part of a docstring (the string that opens a module, class or function
 body).  Run from the repository root::
 
-    python tools/code_lines.py [PACKAGE_DIR]    # default: src/genform
+    python tools/code_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -37,10 +36,9 @@ def counts(path: Path) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> None:
-    root = Path(argv[1] if len(argv) > 1 else "src/genform")
+def main() -> None:
     total_lines = total_code = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(Path("src/genform").glob("*.py")):
         lines, code = counts(path)
         total_lines += lines
         total_code += code
@@ -49,4 +47,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
