@@ -125,15 +125,12 @@ def _rng(cfg: GenConfig, *position) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _position(pos) -> tuple:
-    return pos if isinstance(pos, tuple) else (pos,)
-
-
 # ---------------------------------------------------------------------------
 # Generators.  One table, ``_SLOT_KINDS``, maps each slot kind to its draw
-# and its forced zero.  A draw builds one value from one rng with the trusted
-# constructors, since every draw is in range; the public gen_* functions seed
-# that rng from (seed, kind, degree, position), and a trial seeds it from
+# and to the type whose zero fills the slot on a forced-zero trial.  A draw
+# builds one value from one rng with the trusted constructors, since every
+# draw is in range.  The public gen_* functions seed that rng from (seed,
+# kind, degree, position); ``_trial`` builds a trial's chart and seeds it from
 # (seed, "slot", trial, slot index), so one trial's slots draw independently.
 
 
@@ -156,8 +153,8 @@ def _k(cfg: GenConfig, *trial: int) -> Fraction:
     return _gen_rational(_rng(cfg, "k", *trial), cfg.coefficient_bound)
 
 
-def default_chart(cfg: GenConfig, k: Fraction | None = None) -> Chart:
-    return Chart(_chart_names(cfg.dimension), _k(cfg) if k is None else k)
+def default_chart(cfg: GenConfig) -> Chart:
+    return Chart(_chart_names(cfg.dimension), _k(cfg))
 
 
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
@@ -232,29 +229,31 @@ def _gform(rng: random.Random, cfg: GenConfig, chart: Chart, degree: int) -> Gen
 # first form (vector) slot to zero, drawing nothing for it.
 _ZERO_FORM_TRIAL, _ZERO_VECTOR_TRIAL = 3, 5
 
-# slot kind -> (draw, forced zero).  A draw is called as
-# ``draw(rng, cfg, chart, *degree)``; a forced zero is None or
-# (trial index mod 8, ``zero(chart, *degree)``), each zero a lambda so that a
-# patched ``zero`` is the one called.  The form kinds, forced at
-# _ZERO_FORM_TRIAL, take a degree from the trial's schedule or the gen_*
-# call; no other kind takes one.
+# slot kind -> (draw, zero type).  A draw is called as
+# ``draw(rng, cfg, chart, *degree)``.  A forced slot holds
+# ``zero_type.zero(chart, *degree)``, looked up when it is filled, so a
+# patched ``zero`` is the one called; kinds whose zero type is None are never
+# forced.  The _FORM_KINDS take a degree, from the trial's schedule or the
+# gen_* call, and are forced at _ZERO_FORM_TRIAL; the other forced kinds take
+# none and are forced at _ZERO_VECTOR_TRIAL.
 _SLOT_KINDS = {
     "scalar": (_scalar, None),
     "const": (lambda rng, cfg, chart: chart.constant(_gen_rational(rng, cfg.coefficient_bound)),
               None),
-    "form": (_form, (_ZERO_FORM_TRIAL, lambda chart, p: Form.zero(chart, p))),
-    "gform": (_gform, (_ZERO_FORM_TRIAL, lambda chart, p: GeneralizedForm.zero(chart, p))),
+    "form": (_form, Form),
+    "gform": (_gform, GeneralizedForm),
     "gform0": (lambda rng, cfg, chart: _gform(rng, cfg, chart, 0), None),
-    "vector": (_vector, (_ZERO_VECTOR_TRIAL, lambda chart: VectorField.zero(chart))),
+    "vector": (_vector, VectorField),
     "gvector": (lambda rng, cfg, chart: _trusted_gvector(_vector(rng, cfg, chart),
                                                          _scalar(rng, cfg, chart)),
-                (_ZERO_VECTOR_TRIAL, lambda chart: GeneralizedVector.zero(chart))),
+                GeneralizedVector),
 }
+_FORM_KINDS = ("form", "gform")
 
 
 def _generate(kind: str, cfg: GenConfig, position, chart: Chart, *degree: int):
-    return _SLOT_KINDS[kind][0](_rng(cfg, kind, *degree, *_position(position)),
-                                cfg, chart, *degree)
+    position = position if isinstance(position, tuple) else (position,)
+    return _SLOT_KINDS[kind][0](_rng(cfg, kind, *degree, *position), cfg, chart, *degree)
 
 
 def gen_scalar(cfg: GenConfig, position, chart: Chart | None = None) -> ScalarField:
@@ -288,7 +287,6 @@ def gen_gvector(cfg: GenConfig, position, chart: Chart | None = None) -> General
 @dataclass(frozen=True)
 class Identity:
     name: str
-    summary: str
     slots: tuple[tuple[str, str], ...]  # (slot name, slot kind)
     check: Callable[..., list[tuple]]  # check(chart, **slots) -> [(lhs, rhs), ...]
 
@@ -338,98 +336,88 @@ def residual_witness(chart: Chart) -> dict:
 IDENTITIES: dict[str, Identity] = {}
 
 
-def _identity(name: str, summary: str, **slots: str):
+def _identity(name: str, **slots: str):
     """Register the decorated check as identity ``name``; ``slots`` maps slot names to kinds."""
     def register(check):
-        IDENTITIES[name] = Identity(name, summary, tuple(slots.items()), check)
+        IDENTITIES[name] = Identity(name, tuple(slots.items()), check)
         return check
     return register
 
 
-@_identity("P1", "unit and zero laws of the pair wedge product", a="gform")
+@_identity("P1", a="gform")
 def _check_p1(chart, a):
     unit = GeneralizedForm.from_form(Form.from_scalar(chart.constant(1)))
     zero = GeneralizedForm.zero(chart)
     return [(unit.wedge(a), a), (zero.wedge(a), zero)]
 
 
-@_identity("P2", "graded commutativity of the pair wedge product", a="gform", b="gform")
+@_identity("P2", a="gform", b="gform")
 def _check_p2(chart, a, b):
     return [(a.wedge(b), _sign(a.degree * b.degree) * b.wedge(a))]
 
 
-@_identity("P3", "associativity of the pair wedge product", a="gform", b="gform", c="gform")
+@_identity("P3", a="gform", b="gform", c="gform")
 def _check_p3(chart, a, b, c):
     return [(a.wedge(b).wedge(c), a.wedge(b.wedge(c)))]
 
 
-@_identity("P4", "nilpotency of the deformed exterior derivative", a="gform")
+@_identity("P4", a="gform")
 def _check_p4(chart, a):
     return [(a.d().d(), GeneralizedForm.zero(chart))]
 
 
-@_identity("P5", "graded Leibniz rule for the deformed exterior derivative", a="gform", b="gform")
+@_identity("P5", a="gform", b="gform")
 def _check_p5(chart, a, b):
     return [(a.wedge(b).d(), a.d().wedge(b) + _sign(a.degree) * a.wedge(b.d()))]
 
 
-@_identity("P6", "zero-form scaling of pair vectors composes through the wedge",
-           a0="gform0", b0="gform0", V="gvector")
+@_identity("P6", a0="gform0", b0="gform0", V="gvector")
 def _check_p6(chart, a0, b0, V):
     return [(V.scaled_by(b0).scaled_by(a0), V.scaled_by(a0.wedge(b0)))]
 
 
-@_identity("P7", "contraction is a graded antiderivation of the wedge",
-           V="gvector", a="gform", b="gform")
+@_identity("P7", V="gvector", a="gform", b="gform")
 def _check_p7(chart, V, a, b):
     return [(V.contract(a.wedge(b)),
              V.contract(a).wedge(b) + _sign(a.degree) * a.wedge(V.contract(b)))]
 
 
-@_identity("P8", "contraction is linear over ordinary scalar combinations",
-           V="gvector", W="gvector", mu="scalar", a="gform")
+@_identity("P8", V="gvector", W="gvector", mu="scalar", a="gform")
 def _check_p8(chart, V, W, mu, a):
     return [((V + mu * W).contract(a), V.contract(a) + mu * W.contract(a))]
 
 
-@_identity("P9", "homotopy-formula derivative equals its expanded closed form",
-           V="gvector", a="gform")
+@_identity("P9", V="gvector", a="gform")
 def _check_p9(chart, V, a):
     return [(V.lie_cartan(a), _homotopy_expansion(chart, V, a))]
 
 
-@_identity("P10", "contraction defect of the uncorrected derivative has closed form",
-           V="gvector", W="gvector", a="gform")
+@_identity("P10", V="gvector", W="gvector", a="gform")
 def _check_p10(chart, V, W, a):
     return [(cartan_residual(V, W, a), _expected_residual(V, W, a))]
 
 
-@_identity("P11", "corrected derivative: correction form agrees with closed form",
-           V="gvector", a="gform")
+@_identity("P11", V="gvector", a="gform")
 def _check_p11(chart, V, a):
     return [(V.lie(a), V.lie_cartan(a) + _lie_correction(chart, V, a))]
 
 
-@_identity("P12", "corrected derivative satisfies the sign-free Leibniz rule",
-           V="gvector", a="gform", b="gform")
+@_identity("P12", V="gvector", a="gform", b="gform")
 def _check_p12(chart, V, a, b):
     return [(V.lie(a.wedge(b)), V.lie(a).wedge(b) + a.wedge(V.lie(b)))]
 
 
-@_identity("P13", "corrected derivative and contraction commute into a contraction",
-           V="gvector", W="gvector", a="gform")
+@_identity("P13", V="gvector", W="gvector", a="gform")
 def _check_p13(chart, V, W, a):
     return [(V.lie(W.contract(a)) - W.contract(V.lie(a)), V.lie(W).contract(a))]
 
 
-@_identity("P14", "commuting corrected derivatives differentiates along the bracket",
-           V="gvector", W="gvector", a="gform")
+@_identity("P14", V="gvector", W="gvector", a="gform")
 def _check_p14(chart, V, W, a):
     return [(V.lie(W.lie(a)) - W.lie(V.lie(a)), V.commutator(W).lie(a))]
 
 
-@_identity("P15", "bracket antisymmetry and bilinearity over rational constants",
-           V="gvector", V2="gvector", W="gvector", c1="const", c2="const")
+@_identity("P15", V="gvector", V2="gvector", W="gvector", c1="const", c2="const")
 def _check_p15(chart, V, V2, W, c1, c2):
     combo = c1 * V + c2 * V2
     return [
@@ -439,7 +427,7 @@ def _check_p15(chart, V, V2, W, c1, c2):
     ]
 
 
-@_identity("P16", "bracket satisfies the Jacobi identity", U="gvector", V="gvector", W="gvector")
+@_identity("P16", U="gvector", V="gvector", W="gvector")
 def _check_p16(chart, U, V, W):
     cyclic = (U.commutator(V.commutator(W))
               + V.commutator(W.commutator(U))
@@ -447,8 +435,7 @@ def _check_p16(chart, U, V, W):
     return [(cyclic, GeneralizedVector.zero(chart))]
 
 
-@_identity("P17", "ordinary calculus embeds at zero scalar part and zero companion",
-           al="form", be="form", v="vector", w="vector")
+@_identity("P17", al="form", be="form", v="vector", w="vector")
 def _check_p17(chart, al, be, v, w):
     A = GeneralizedForm.from_form(al)
     B = GeneralizedForm.from_form(be)
@@ -484,28 +471,27 @@ def scheduled_degrees(dimension: int, trial: int, count: int,
             *[rng.randrange(span) - 1 for _ in range(count - 2)])
 
 
-def _trial_chart(cfg: GenConfig, trial: int) -> Chart:
-    return default_chart(cfg, _k(cfg, trial))
-
-
-def _trial_env(ident: Identity, cfg: GenConfig, chart: Chart, trial: int) -> dict:
+def _trial(ident: Identity, cfg: GenConfig, trial: int) -> tuple[Chart, dict]:
+    """The chart and the inputs, by slot name, of one trial of ``ident``."""
+    chart = Chart(_chart_names(cfg.dimension), _k(cfg, trial))
     if ident.name == "P10" and trial == 1 and chart.dim >= 2:
-        return residual_witness(chart)
-    kinds = [_SLOT_KINDS[kind] for _, kind in ident.slots]
-    form_count = sum(1 for _, forced in kinds if forced and forced[0] == _ZERO_FORM_TRIAL)
+        return chart, residual_witness(chart)
+    form_count = sum(kind in _FORM_KINDS for _, kind in ident.slots)
     # only a third form slot draws its degree from the stream
     degrees = iter(scheduled_degrees(chart.dim, trial, form_count,
                                      _rng(cfg, "deg", trial) if form_count > 2 else None))
     zeroed = trial % 8  # the residue whose first slot is still to be forced to zero
     env = {}
-    for index, ((name, _), (draw, forced)) in enumerate(zip(ident.slots, kinds)):
-        degree = (next(degrees),) if forced and forced[0] == _ZERO_FORM_TRIAL else ()
-        if forced and forced[0] == zeroed:
-            env[name] = forced[1](chart, *degree)
+    for index, (name, kind) in enumerate(ident.slots):
+        draw, zero_type = _SLOT_KINDS[kind]
+        form = kind in _FORM_KINDS
+        degree = (next(degrees),) if form else ()
+        if zero_type and zeroed == (_ZERO_FORM_TRIAL if form else _ZERO_VECTOR_TRIAL):
+            env[name] = zero_type.zero(chart, *degree)
             zeroed = None
         else:
             env[name] = draw(_rng(cfg, "slot", trial, index), cfg, chart, *degree)
-    return env
+    return chart, env
 
 
 @dataclass(frozen=True)
@@ -539,8 +525,7 @@ def run_identity(name: str, cfg: GenConfig, trials: int) -> IdentityReport:
         raise ValueError("trials must be positive")
     failures = []
     for trial in range(trials):
-        chart = _trial_chart(cfg, trial)
-        env = _trial_env(ident, cfg, chart, trial)
+        chart, env = _trial(ident, cfg, trial)
         for lhs, rhs in ident.check(chart, **env):
             if lhs != rhs:
                 failures.append(Failure(trial, cfg.describe(),

@@ -133,8 +133,6 @@ MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 4300
 MAX_PRODUCT_TERMS = 10 ** 5
 
-OP_NAMES = ("wedge", "d", "I", "L", "Lc", "Lv", "comm", "scale", "add", "smul")
-
 _KINDS = {
     ScalarField: "scalar",
     Form: "form",
@@ -376,7 +374,7 @@ class _Parser:
             if not name.isidentifier():
                 self._err(at, "E_PARSE", f"expected a definition name, found {name!r}")
             self.pos = at + 1
-            if name in OP_NAMES:
+            if name in _OPS:
                 self._err(at, "E_REDEF", f"'{name}' is a reserved operation name")
             if name in self.chart.names:
                 self._err(at, "E_REDEF", f"'{name}' is already a coordinate name")
@@ -408,7 +406,7 @@ class _Parser:
             name = tokens[at]
             if not name.isidentifier():
                 self._expected("a coordinate name")
-            if name in OP_NAMES:
+            if name in _OPS:
                 self._err(at, "E_PARSE", f"coordinate name '{name}' is reserved")
             if name in names:
                 self._err(at, "E_PARSE", f"duplicate coordinate '{name}'")
@@ -614,7 +612,7 @@ class _Parser:
         tok = tokens[at]
         self.pos = at + 1
         if tok.isidentifier():
-            if tok in OP_NAMES and tokens[self.pos] == "(":
+            if tok in _OPS and tokens[self.pos] == "(":
                 return self._opcall(at)
             if tok in self.definitions:
                 return self.definitions[tok]
@@ -733,9 +731,9 @@ class _Parser:
                   "(use wedge for products of forms)")
 
 
-# The operations, by name: (arity, whether the product limits apply to the
-# two operands, the E_TYPE message, formatted with the operands' kinds, and
-# the signatures).  A signature is a tuple of operand classes and the
+# The operations, by name (each a reserved name): (arity, whether the product
+# limits apply to the two operands, the E_TYPE message, formatted with the
+# operands' kinds, and the signatures).  A signature is a tuple of operand classes and the
 # computation that runs on operands of those classes, as
 # ``compute(parser, index of the name token, *operands)``.  ``_opcall`` takes
 # the first signature that matches, so a call with operands of the wrong kinds

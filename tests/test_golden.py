@@ -25,7 +25,7 @@ from genform import (
     render_session,
 )
 from genform.cli import main
-from genform.harness import IDENTITIES, _trial_chart, _trial_env
+from genform.harness import IDENTITIES, _trial
 
 from test_harness import _corrupted_contract, _corrupted_d
 
@@ -122,8 +122,7 @@ def test_trial_input_digests(dim):
     digest = hashlib.sha256()
     for ident in IDENTITIES.values():
         for trial in range(16):
-            chart = _trial_chart(cfg, trial)
-            env = _trial_env(ident, cfg, chart, trial)
+            chart, env = _trial(ident, cfg, trial)
             digest.update(render_session(chart, env).encode("utf-8"))
     assert digest.hexdigest() == TRIAL_INPUT_DIGESTS[dim]
 

@@ -7,11 +7,13 @@ import pytest
 from genform import (
     Chart,
     DegreeError,
+    Form,
     GenConfig,
     GeneralizedForm,
     GeneralizedVector,
     IDENTITIES,
     UnknownIdentityError,
+    VectorField,
     gen_gform,
     gen_gvector,
     gen_scalar,
@@ -20,8 +22,7 @@ from genform import (
 )
 from genform.generalized import _sign
 from genform.harness import (
-    _trial_chart,
-    _trial_env,
+    _trial,
     residual_witness,
     scheduled_degrees,
 )
@@ -75,23 +76,33 @@ def test_scheduled_degrees_cover_all_pairs():
         assert seen == expected
 
 
-def test_forced_degenerate_trials():
-    cfg = GenConfig(seed=5, dimension=2)
-    ident = IDENTITIES["P13"]  # slots V, W, a
-    chart3 = _trial_chart(cfg, 3)
-    assert _trial_env(ident, cfg, chart3, 3)["a"].is_zero
-    chart5 = _trial_chart(cfg, 5)
-    assert _trial_env(ident, cfg, chart5, 5)["V"].is_zero
-    assert _trial_chart(cfg, 6).k == 0
-    assert _trial_chart(GenConfig(seed=5, dimension=2, k=Fraction(3)), 6).k == 3
+# the type of each slot kind that a scheduled trial forces to zero
+_FORCED_TYPES = {"form": Form, "gform": GeneralizedForm,
+                 "vector": VectorField, "gvector": GeneralizedVector}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(IDENTITIES))
+def test_forced_degenerate_trials(name, dim):
+    cfg = GenConfig(seed=5, dimension=dim)
+    ident = IDENTITIES[name]
+    # trial 3 zeroes the first form slot, trial 5 the first vector slot
+    for trial, kinds in ((3, ("form", "gform")), (5, ("vector", "gvector"))):
+        _, env = _trial(ident, cfg, trial)
+        first = next(((slot, kind) for slot, kind in ident.slots if kind in kinds), None)
+        if first is not None:
+            slot, kind = first
+            assert type(env[slot]) is _FORCED_TYPES[kind]
+            assert env[slot].is_zero
+    assert _trial(ident, cfg, 6)[0].k == 0
+    assert _trial(ident, GenConfig(seed=5, dimension=dim, k=Fraction(3)), 6)[0].k == 3
 
 
 def test_p10_witness_is_scheduled_and_nonzero():
     from genform import cartan_residual
 
     cfg = GenConfig(seed=6, dimension=2)
-    chart = _trial_chart(cfg, 1)
-    env = _trial_env(IDENTITIES["P10"], cfg, chart, 1)
+    chart, env = _trial(IDENTITIES["P10"], cfg, 1)
     expected = residual_witness(chart)
     assert env["V"] == expected["V"] and env["W"] == expected["W"] and env["a"] == expected["a"]
     assert not cartan_residual(env["V"], env["W"], env["a"]).is_zero
@@ -172,7 +183,7 @@ def test_gvector_generator_objects_are_valid():
 
 def test_fixed_k_is_every_trials_k():
     cfg = GenConfig(k=Fraction(2, 3))
-    assert _trial_chart(cfg, 0).k == Fraction(2, 3)
+    assert _trial(IDENTITIES["P1"], cfg, 0)[0].k == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -181,8 +192,7 @@ def test_replay_env_restores_zero_form_and_zero_vector_slots(dim):
     cfg = GenConfig(seed=4, dimension=dim)
     ident = IDENTITIES["P17"]
     for trial, slot in ((3, "al"), (5, "v")):
-        chart = _trial_chart(cfg, trial)
-        env = _trial_env(ident, cfg, chart, trial)
+        chart, env = _trial(ident, cfg, trial)
         assert not env[slot]
         replayed_chart, replayed = replay_env("P17", render_session(chart, env))
         assert replayed_chart == chart

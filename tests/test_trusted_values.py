@@ -28,7 +28,7 @@ from genform import (
     VectorField,
     cartan_residual,
 )
-from genform.harness import IDENTITIES, _trial_chart, _trial_env
+from genform.harness import IDENTITIES, _trial
 
 from test_pair_kernels import gforms_on, pair_cases, pair_settings
 from test_scalar_kernel import assert_canonical, assert_form_canonical
@@ -103,8 +103,7 @@ def test_trial_inputs_rebuild_through_the_public_constructors(dim, k):
                     k={"random": None, "zero": Fraction(0), "fixed": Fraction(-2, 3)}[k])
     for ident in IDENTITIES.values():
         for trial in range(12):
-            chart = _trial_chart(cfg, trial)
-            for value in _trial_env(ident, cfg, chart, trial).values():
+            for value in _trial(ident, cfg, trial)[1].values():
                 assert_sound(value)
 
 
