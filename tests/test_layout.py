@@ -6,7 +6,7 @@ A scalar field stores integer numerators (``_num``) over one denominator
 change in that one module.  These tests read each source file with ``ast``:
 no other module may read ``._num`` or ``._den`` (as an attribute, or by name
 in a string, as ``attrgetter`` would) or import the integer kernel's
-``_from_ints`` or ``_mac``.
+``_from_ints`` or the multiply-accumulate builder ``_mac_for``.
 
 Likewise only ``genform.session`` knows the size limits of a value: the
 digits of a literal, the integer bounds of products and printing, and the
@@ -33,11 +33,11 @@ import importlib.util
 from pathlib import Path
 
 import genform
-from genform import Form, GeneralizedForm, GeneralizedVector, ScalarField, VectorField, forms
+from genform import Form, GeneralizedForm, GeneralizedVector, ScalarField, VectorField, forms, scalars
 
 SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
-KERNEL = {"_from_ints", "_mac"}
+KERNEL = {"_from_ints", "_mac_for"}
 LIMITS = {"MAX_LITERAL_DIGITS", "_PRODUCT_BITS", "_PRINTABLE_BITS", "_fault"}
 PARTS = {"components", "ordinary", "companion", "v1", "v0"}
 PART_READERS = {"forms.py", "generalized.py", "harness.py"}
@@ -73,6 +73,7 @@ def test_the_search_finds_the_layout_where_it_is_read():
     assert any("reads ._num" in use for use in uses)
     assert any("reads ._den" in use for use in uses)
     assert any("names '_num'" in use for use in uses)
+    assert KERNEL <= set(vars(scalars))  # the guard names the kernel's current builders
 
 
 def limit_uses(path: Path) -> list[str]:

@@ -12,6 +12,9 @@ lists.
 The fused sum-of-products kernel is checked the same way, and the form and
 vector operations built on it are checked against naive term-by-term
 versions kept here, which only use the public constructors and ``+ - *``.
+Its multiply-accumulate is compiled per dimension, so the kernel and scalar
+``*`` are also checked at every dimension the harness serves (1 to
+``harness.MAX_DIMENSION``) and on one 12-coordinate chart.
 """
 
 import copy
@@ -26,7 +29,8 @@ from hypothesis import strategies as st
 
 import reference_scalars as ref
 from genform import Chart, ChartMismatchError, Form, ScalarField, VectorField
-from genform.scalars import _from_monomials, _sum_products
+from genform.harness import MAX_DIMENSION
+from genform.scalars import _from_monomials, _mac_for, _sum_products
 
 NAMES = ("x", "y", "z", "w")
 
@@ -277,10 +281,11 @@ def test_values_stay_immutable_and_copyable():
 
 
 @st.composite
-def product_sums(draw):
+def product_sums(draw, dims=st.integers(1, 4)):
     """A chart and (sign, a-terms, b-terms) triples; some triples cancel others."""
-    dim = draw(st.integers(1, 4))
-    chart = Chart(NAMES[:dim], draw(coefficients))
+    dim = draw(dims)
+    chart = Chart(NAMES[:dim] if dim <= len(NAMES) else tuple(f"x{i}" for i in range(dim)),
+                  draw(coefficients))
     triples = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2]), term_lists(dim),
                                       term_lists(dim)), max_size=5))
     for sign, pa, pb in list(triples):
@@ -290,9 +295,9 @@ def product_sums(draw):
     return chart, triples
 
 
-@kernel_settings
-@given(product_sums())
-def test_sum_products_matches_naive_sum_and_reference(case):
+def assert_sum_products_matches(case):
+    """``_sum_products`` of the triples, and the sum of their ``*`` products,
+    against the reference."""
     chart, raw = case
     triples = [(sign, ScalarField.from_terms(chart, pa), ScalarField.from_terms(chart, pb))
                for sign, pa, pb in raw]
@@ -303,6 +308,27 @@ def test_sum_products_matches_naive_sum_and_reference(case):
     got = _sum_products(chart, triples)
     assert_matches(got, expected, chart)
     assert got == sum((s * a * b for s, a, b in triples), chart.constant(0))
+    for _, a, b in triples:
+        assert_matches(a * b, ref.mul(dict(a.terms), dict(b.terms)), chart)
+    return got
+
+
+@kernel_settings
+@given(product_sums())
+def test_sum_products_matches_naive_sum_and_reference(case):
+    assert_sum_products_matches(case)
+
+
+@pytest.mark.parametrize("dim", [*range(1, MAX_DIMENSION + 1), 12])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sum_products_matches_reference_at_every_dimension_it_is_compiled_for(dim, data):
+    """Each dimension has its own compiled multiply-accumulate.  Every key it
+    writes is an exponent tuple of the chart's length, dim 1 included, where
+    the key display needs its trailing comma to be a tuple."""
+    got = assert_sum_products_matches(data.draw(product_sums(st.just(dim))))
+    assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
+    assert _mac_for(dim) is _mac_for(dim)
 
 
 def test_sum_products_edge_cases():

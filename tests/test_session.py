@@ -234,6 +234,17 @@ def test_round_trip_handwritten_sessions():
     _round_trip("chart x, y, z k=-2/3\nw = x*dx^dy + z*dy^dz\nu = y*@x + x^2*@z")
 
 
+def test_round_trip_on_a_300_coordinate_chart():
+    """A product on a wide chart runs the scalar kernel's multiply-accumulate
+    at that width: 300 exponents unpacked and 300 added per term product."""
+    names = [f"x{i}" for i in range(300)]
+    session = parse_session(f"chart {', '.join(names)}\nf = (x1 + x2)*(x3 - x299)")
+    x = session.chart.coordinates()
+    assert session.definitions["f"] == x[1] * x[3] - x[1] * x[299] + x[2] * x[3] - x[2] * x[299]
+    assert str(session.definitions["f"]) == "x1*x3 - x1*x299 + x2*x3 - x2*x299"
+    _round_trip(session.render())
+
+
 def test_round_trip_generated_sessions():
     for seed in range(12):
         cfg = GenConfig(seed=seed, dimension=1 + seed % 3)
