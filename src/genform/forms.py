@@ -9,6 +9,11 @@ always the canonical zero, which keeps every operator total: contracting a
 0-form, or differentiating a top form, simply yields zero instead of an
 error.  Zero forms of different degree tags compare equal.
 
+Every sign of the calculus is one rule, ``_sign(e)`` = (-1)^e: sorting a
+multi-index (``_normalize_key``) gives ``_sign`` of its inversion count,
+dropping slot j in a contraction gives ``_sign(j)``, and the pair formulas
+of :mod:`genform.generalized` take ``_sign`` of a degree.
+
 Vector fields hold one scalar component per coordinate.  The Lie derivative
 of a form is computed with the coordinate formula
 
@@ -46,13 +51,17 @@ last two through ``_map``.  One class decorator, ``_value_type``, declares
 frozen dataclass, seals it with ``scalars._sealed`` (no assignment, no hash,
 ``repr`` is ``str``) and binds the four rules into the class's own
 ``__dict__``, so no base class is needed and every operator stays an
-attribute of its own class.
+attribute of its own class.  Equality is the dataclass's generated
+``__eq__``: one class, and equal compared fields in order.  ``Form.degree``
+is not compared, so a form compares its chart and components; a
+``VectorField`` compares its chart and components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import neg
 from typing import Iterable, Mapping
 
@@ -70,20 +79,17 @@ Key = tuple[int, ...]
 Groups = dict[Key, list]  # output index tuple -> (sign, a, b) products
 
 
+def _sign(e: int) -> int:
+    """The parity sign (-1)^e of an integer e."""
+    return -1 if e & 1 else 1
+
+
 def _normalize_key(key: Key) -> tuple[Key | None, int]:
     """Sort a multi-index, returning (sorted key, parity sign); None for repeats."""
-    items = list(key)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None, 0
-    return tuple(items), sign
+    if len(set(key)) < len(key):
+        return None, 0
+    inversions = sum(a > b for a, b in combinations(key, 2))
+    return tuple(sorted(key)), _sign(inversions)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def _rmul(self, factor):
 def _value_type(cls):
     """Make cls a slotted frozen dataclass, seal it (``scalars._sealed``) and
     bind the shared rules as its truth, unary ``-``, ``-`` and scalar ``*``."""
-    cls = _sealed(dataclass(frozen=True, eq=False, repr=False, slots=True)(cls))
+    cls = _sealed(dataclass(frozen=True, repr=False, slots=True)(cls))
     cls.__bool__, cls.__neg__, cls.__sub__, cls.__rmul__ = _nonzero, _neg, _sub, _rmul
     return cls
 
@@ -129,7 +135,7 @@ class Form:
     """An antisymmetric p-form with exact polynomial coefficients."""
 
     chart: Chart
-    degree: int
+    degree: int = field(compare=False)  # a key's length is the degree, so zero is degree-agnostic
     components: Mapping[Key, ScalarField]
 
     def __post_init__(self):
@@ -176,12 +182,6 @@ class Form:
     @property
     def is_zero(self) -> bool:
         return not self.components
-
-    def __eq__(self, other) -> bool:
-        # a key's length is the degree, so zero is degree-agnostic
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
 
     def scalar_part(self) -> ScalarField:
         """The () component of a degree <= 0 form (zero if absent)."""
@@ -258,11 +258,6 @@ class VectorField:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components  # scalar equality compares charts
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
@@ -395,8 +390,7 @@ def _contract_into(groups: Groups, v: VectorField, a: Form) -> None:
         for j, idx in enumerate(key):
             comp = comps[idx]
             if comp:
-                groups.setdefault(key[:j] + key[j + 1:], []).append(
-                    (-1 if j & 1 else 1, comp, poly))
+                groups.setdefault(key[:j] + key[j + 1:], []).append((_sign(j), comp, poly))
 
 
 def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:

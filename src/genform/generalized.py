@@ -47,7 +47,9 @@ independent computations.
 
 Both pair types are declared by ``_value_type`` of :mod:`genform.forms`, as
 ``Form`` and ``VectorField`` are, which makes each a sealed slotted frozen
-dataclass with the shared rules in its own ``__dict__``.
+dataclass with the shared rules in its own ``__dict__``; its equality is the
+dataclass's comparison of its two parts.  The signs (-1)^q, (-1)^{p+1} and
+(-1)^{p-1} above are ``forms._sign`` of the degree.
 ``GeneralizedForm(...)`` and ``GeneralizedVector(...)`` check charts and
 degrees; every operation result goes through one private trusted
 constructor per type, ``_trusted_pair`` and ``_trusted_gvector``, which
@@ -72,13 +74,10 @@ from .forms import (
     _fused_vector,
     _lie_into,
     _scale_into,
+    _sign,
     _value_type,
     _wedge_into,
 )
-
-
-def _sign(e: int) -> int:
-    return -1 if e & 1 else 1
 
 
 @_value_type
@@ -117,12 +116,6 @@ class GeneralizedForm:
     @property
     def is_zero(self) -> bool:
         return self.ordinary.is_zero and self.companion.is_zero
-
-    def __eq__(self, other) -> bool:
-        # form equality decides charts and degrees: zero slots are degree-agnostic
-        if not isinstance(other, GeneralizedForm):
-            return NotImplemented
-        return self.ordinary == other.ordinary and self.companion == other.companion
 
     def __add__(self, other):
         if not isinstance(other, GeneralizedForm):
@@ -191,11 +184,6 @@ class GeneralizedVector:
     @property
     def is_zero(self) -> bool:
         return self.v1.is_zero and self.v0.is_zero
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeneralizedVector):
-            return NotImplemented
-        return self.v1 == other.v1 and self.v0 == other.v0
 
     def __add__(self, other):
         if not isinstance(other, GeneralizedVector):

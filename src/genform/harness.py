@@ -47,6 +47,7 @@ from .errors import DegreeError, UnknownIdentityError
 from .forms import (
     Form,
     VectorField,
+    _sign,
     _trusted_form,
     _trusted_vector,
     coordinate_vectors,
@@ -55,7 +56,6 @@ from .forms import (
 from .generalized import (
     GeneralizedForm,
     GeneralizedVector,
-    _sign,
     _trusted_gvector,
     _trusted_pair,
     cartan_residual,

@@ -1,5 +1,8 @@
 """CLI behavior: subcommands, exit codes, diagnostics, deterministic output."""
 
+import runpy
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,16 @@ def test_check_pass_and_exit_codes(capsys):
                                   "--seed", "1", "--k", "0"])
     assert status == 0
     assert out == "P4: pass (10 trials)\n"
+
+
+# the module is imported already, which runpy warns of before it runs it again
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_running_the_module_exits_with_main_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["genform", "check", "P1", "--trials", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("genform.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "P1: pass (1 trials)\n"
 
 
 def test_check_unknown_identity(capsys):

@@ -1,5 +1,6 @@
 """Ordinary exterior calculus: frozen hand cases, algebraic laws, point oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from genform import (
     gen_vector,
     one_forms,
 )
+from genform.forms import _normalize_key
 
 from oracle_tensors import contract_at_point, form_values, wedge_at_point
 
@@ -156,6 +158,32 @@ def test_zero_forms_compare_equal_across_degrees():
     assert Form.zero(ch, 0) == Form.zero(ch, 2)
     assert Form.zero(ch, -1) == Form.zero(ch, 3)
     assert Form.zero(ch, 1) != Form.from_scalar(ch.constant(1))
+
+
+def _cycle_sign(key):
+    """The sign of the permutation that sorts distinct ``key``, by cycle count:
+    a permutation of m points with c cycles has sign (-1)^(m - c)."""
+    rank = {value: r for r, value in enumerate(sorted(key))}
+    perm = [rank[value] for value in key]  # position -> sorted position
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_normalize_key_sorts_with_the_permutation_sign(n):
+    for length in range(n + 2):
+        for key in itertools.product(range(n), repeat=length):
+            if len(set(key)) < len(key):
+                assert _normalize_key(key) == (None, 0), key
+            else:
+                assert _normalize_key(key) == (tuple(sorted(key)), _cycle_sign(key)), key
 
 
 def test_out_of_range_degrees_must_be_zero():

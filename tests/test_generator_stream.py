@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genform import Chart, GenConfig
-from genform.harness import _gen_rational, _scalar
+from genform.harness import MAX_DIMENSION, _chart_names, _gen_rational, _scalar
 
 import reference_generator as ref
 
-NAMES = ("x", "y", "z", "w")
 stream_settings = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
@@ -27,11 +26,11 @@ stream_settings = settings(max_examples=12, deadline=None, derandomize=True, dat
 @pytest.mark.parametrize("terms", [1, 4, 6])
 @pytest.mark.parametrize("degree", [0, 3, 4])
 @stream_settings
-@given(seed=st.integers(0, 2 ** 64 - 1), dim=st.integers(1, 4), draws=st.integers(1, 6))
+@given(seed=st.integers(0, 2 ** 64 - 1), dim=st.integers(1, MAX_DIMENSION), draws=st.integers(1, 6))
 def test_inline_scalar_draws_match_the_reference(bound, terms, degree, seed, dim, draws):
     cfg = GenConfig(seed=0, dimension=dim, max_poly_degree=degree, max_terms=terms,
                     coefficient_bound=bound)
-    chart = Chart(NAMES[:dim])
+    chart = Chart(_chart_names(dim))
     new, old = random.Random(seed), random.Random(seed)
     for _ in range(draws):
         got = _scalar(new, cfg, chart)
