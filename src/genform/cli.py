@@ -83,13 +83,14 @@ def _load(path: str) -> str:
 
 def _parse_point(spec: str, chart: Chart) -> list[Fraction]:
     bindings: dict[str, Fraction] = {}
+    known = set(chart.names)  # one lookup per binding, not a scan of the chart
     for part in spec.split(","):
         name, eq, text = part.partition("=")
         name = name.strip()
         text = text.strip()
         if not eq or not name or not text:
             raise ValueError(f"bad binding {part!r}: expected name=value")
-        if name not in chart.names:
+        if name not in known:
             raise ValueError(f"unknown coordinate {name!r}")
         if name in bindings:
             raise ValueError(f"coordinate {name!r} bound twice")

@@ -65,8 +65,8 @@ E_PARSE error:
 - every coefficient of a definition's value must print with at most
   ``MAX_LITERAL_DIGITS`` digits in its numerator and its denominator, and
   no exponent of it may exceed ``MAX_EXPONENT``, reported at the
-  definition's name, so that every value that parses can be printed and
-  read back.
+  definition's name in that order (digits first), so that every value that
+  parses can be printed and read back.
 
 The limits on term products and on the integers of a product skip a factor
 of a single term whose coefficient is 1 or -1 times a monomial (``dx``,
@@ -87,7 +87,14 @@ with is matched with the rest of the text, so lexing stops there, and E_LEX
 is raised before any parsing.  The parser reads the token texts by index and
 keeps the index of a token it may report at; only a raised diagnostic turns
 an index into an offset, by matching the same expression again up to that
-token, and the offset into ``line:col``.  ``_factor`` is the only reader of
+token, and the offset into ``line:col``.  The chart declaration fills one
+map, coordinate name to index, as it reads the names; it finds a duplicate
+and a name clashing with a differential (``x`` and ``dx``) by lookups in that
+map, so a chart is read in time linear in its length, and every later test
+of a coordinate name looks there too.  ``_atom`` is the only reader of a pair
+bracket: it reads ``expr ; expr`` and the closing ``]`` or ``}``, then
+``_pair_form`` or ``_pair_vector`` checks the parts' kinds and degrees and
+builds the pair.  ``_factor`` is the only reader of
 a factor: a number not followed by ``^``, or a coordinate with its ``^``
 chain, is read as a monomial (numerator and denominator in lowest terms,
 exponents) without building a ScalarField.  ``_term`` multiplies two
@@ -154,23 +161,12 @@ _PRINTABLE_BITS = _UNPRINTABLE.bit_length()
 _PRODUCT_BITS = 2 * (_PRINTABLE_BITS + 1)
 
 
-# The faults of a definition's value, by the order in which they are reported.
-_HIGH = 1  # an exponent above MAX_EXPONENT
-_WIDE = 2  # a coefficient of more than MAX_LITERAL_DIGITS digits
-
-
-def _fault(f: ScalarField) -> int:
-    """0 when f prints and reads back, else ``_WIDE`` or ``_HIGH``.
-
-    Every coefficient must print with at most MAX_LITERAL_DIGITS digits in
-    its numerator and its denominator, as the parser reads them back, and
-    every exponent must be at most MAX_EXPONENT.
-    """
-    if _int_bits(f) >= _PRINTABLE_BITS:
-        for c in f.terms.values():  # each coefficient prints in lowest terms
-            if abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE:
-                return _WIDE
-    return _HIGH if _max_exponent(f) > MAX_EXPONENT else 0
+def _fault(f: ScalarField) -> bool:
+    """Whether a coefficient of f, in lowest terms as it prints, has more than
+    MAX_LITERAL_DIGITS digits in its numerator or its denominator, so the
+    parser could not read it back."""
+    return _int_bits(f) >= _PRINTABLE_BITS and any(
+        abs(c.numerator) >= _UNPRINTABLE or c.denominator >= _UNPRINTABLE for c in f.terms.values())
 
 
 def _is_unit_term(value: Value) -> bool:
@@ -331,7 +327,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.chart: Chart | None = None  # set by _parse_chart
-        self.coords: dict[str, int] = {}  # coordinate name -> index, set by _parse_chart
+        # coordinate name -> index, filled by _parse_chart as it reads the names;
+        # the one structure every later lookup of a coordinate name uses
+        self.coords: dict[str, int] = {}
         self.definitions: dict[str, Value] = {}
         self.depth = 0  # expressions currently open
 
@@ -376,7 +374,7 @@ class _Parser:
             self.pos = at + 1
             if name in _OPS:
                 self._err(at, "E_REDEF", f"'{name}' is a reserved operation name")
-            if name in self.chart.names:
+            if name in self.coords:
                 self._err(at, "E_REDEF", f"'{name}' is already a coordinate name")
             if self._is_differential(name):
                 self._err(at, "E_REDEF", f"'{name}' collides with a coordinate differential")
@@ -384,23 +382,22 @@ class _Parser:
                 self._err(at, "E_REDEF", f"'{name}' is already defined")
             self._expect("=")
             value = self._expr()
-            fault = max(map(_fault, value._coefficients()), default=0)
-            if fault == _WIDE:
+            coefficients = value._coefficients()
+            if any(map(_fault, coefficients)):
                 self._err(at, "E_PARSE",
                           f"value of '{name}' has a coefficient of more than "
                           f"{MAX_LITERAL_DIGITS} digits")
-            if fault == _HIGH:
+            if max(map(_max_exponent, coefficients), default=0) > MAX_EXPONENT:
                 self._err(at, "E_PARSE",
                           f"value of '{name}' has an exponent above {MAX_EXPONENT}")
             self.definitions[name] = value
         return Session(self.chart, self.definitions)
 
     def _parse_chart(self):
-        tokens = self.tokens
+        tokens, coords = self.tokens, self.coords
         if tokens[0] != "chart":
             self._err(0, "E_PARSE", "a session must start with a 'chart' declaration")
         self.pos = 1
-        names: list[str] = []
         while True:
             at = self.pos
             name = tokens[at]
@@ -408,14 +405,16 @@ class _Parser:
                 self._expected("a coordinate name")
             if name in _OPS:
                 self._err(at, "E_PARSE", f"coordinate name '{name}' is reserved")
-            if name in names:
+            if name in coords:
                 self._err(at, "E_PARSE", f"duplicate coordinate '{name}'")
-            for other in names:
-                if "d" + other == name or "d" + name == other:
-                    short, long = sorted((other, name), key=len)
-                    self._err(at, "E_PARSE",
-                              f"coordinate '{long}' collides with the differential of '{short}'")
-            names.append(name)
+            # an earlier d<name>, or the <x> of a name d<x>: the first declared is reported
+            clashes = [other for other in ("d" + name, name[1:] if name[0] == "d" else "")
+                       if other in coords]
+            if clashes:
+                short, long = sorted((min(clashes, key=coords.get), name), key=len)
+                self._err(at, "E_PARSE",
+                          f"coordinate '{long}' collides with the differential of '{short}'")
+            coords[name] = len(coords)
             self.pos = at + 1
             if tokens[self.pos] != ",":
                 break
@@ -424,8 +423,7 @@ class _Parser:
         if tokens[self.pos] == "k" and tokens[self.pos + 1] == "=":
             self.pos += 2
             k = self._signed_rational()
-        self.chart = Chart(tuple(names), k)
-        self.coords = {name: i for i, name in enumerate(names)}
+        self.chart = Chart(tuple(coords), k)
 
     def _signed_rational(self) -> Fraction:
         negative = False
@@ -621,7 +619,7 @@ class _Parser:
             self._err(at, "E_NAME", f"unknown name '{tok}'")
         if tok == "@":
             name = tokens[self.pos]
-            if name not in self.chart.names:
+            if name not in self.coords:
                 self._err(self.pos, "E_NAME", f"'@' must be followed by a coordinate name")
             self.pos += 1
             return _coordinate_vector(self.chart, self.coords[name])
@@ -629,10 +627,12 @@ class _Parser:
             value = self._expr()
             self._expect(")")
             return value
-        if tok == "[":
-            return self._pair_form(at)
-        if tok == "{":
-            return self._pair_vector(at)
+        if tok == "[" or tok == "{":  # the one reader of a pair bracket
+            first = self._expr()
+            self._expect(";")
+            second = self._expr()
+            self._expect("]" if tok == "[" else "}")
+            return (self._pair_form if tok == "[" else self._pair_vector)(at, first, second)
         self._err(at, "E_PARSE", f"unexpected {tok!r}" if tok else "unexpected end of input")
 
     def _is_differential(self, tok: str) -> bool:
@@ -646,11 +646,8 @@ class _Parser:
             self.pos += 2
         return _basis_form(self.chart, tuple(indices))
 
-    def _pair_form(self, open_at: int) -> GeneralizedForm:
-        first = self._expr()
-        self._expect(";")
-        second = self._expr()
-        self._expect("]")
+    def _pair_form(self, open_at: int, first: Value, second: Value) -> GeneralizedForm:
+        """The pair form ``[first ; second]`` whose ``[`` is token ``open_at``."""
         for part in (first, second):
             if not isinstance(part, (ScalarField, Form)):
                 self._err(open_at, "E_TYPE",
@@ -667,11 +664,8 @@ class _Parser:
                       f"ordinary degree {ordinary.degree}")
         return GeneralizedForm(ordinary, companion)
 
-    def _pair_vector(self, open_at: int) -> GeneralizedVector:
-        first = self._expr()
-        self._expect(";")
-        second = self._expr()
-        self._expect("}")
+    def _pair_vector(self, open_at: int, first: Value, second: Value) -> GeneralizedVector:
+        """The pair vector ``{first ; second}`` whose ``{`` is token ``open_at``."""
         if isinstance(first, ScalarField) and first.is_zero:
             first = VectorField.zero(self.chart)
         if not isinstance(first, VectorField):

@@ -3,6 +3,8 @@
 The ``python`` quickstart block runs, and each line it prints is the one the
 ``# ...`` comment on its ``print`` call shows.  The ``text`` session example
 parses, and its canonical rendering is a fixed point of parse then render.
+The limits the README states as numbers are the constants of
+``genform.session``, so neither can change without the other.
 """
 
 import contextlib
@@ -38,3 +40,22 @@ def test_session_example_renders_to_a_fixed_point():
     assert set(session.definitions) == {"f", "al", "v", "a", "V", "b"}
     rendered = session.render()
     assert parse_session(rendered).render() == rendered
+
+
+def test_stated_limits_are_the_constants_of_the_session():
+    from genform.session import (_PRINTABLE_BITS, _PRODUCT_BITS, MAX_EXPONENT,
+                                 MAX_LITERAL_DIGITS, MAX_NESTING, MAX_PRODUCT_TERMS)
+    text = " ".join(README.split())
+    phrases = [
+        f"nest at most {MAX_NESTING} levels deep",
+        f"exponents from 0 to {MAX_EXPONENT}",
+        f"no exponent of it is above {MAX_EXPONENT}",
+        f"at most {MAX_PRODUCT_TERMS} term products",
+        f"more than {_PRINTABLE_BITS + 1} bits together",
+        f"more than {_PRODUCT_BITS} bits together",
+        f"could pass {_PRODUCT_BITS} bits",
+        f"at most {MAX_LITERAL_DIGITS} digits in each integer",
+        f"at most {MAX_LITERAL_DIGITS} digits, not counting leading zeros",
+        f"at most {MAX_LITERAL_DIGITS} digits in its numerator",
+    ]
+    assert [phrase for phrase in phrases if phrase not in text] == []

@@ -184,13 +184,20 @@ def test_diagnostic_position_is_exact():
     assert (info.value.line, info.value.col) == (2, 9)
 
 
-@pytest.mark.parametrize("text, col", [("chart x, dx\nf = 1", 10), ("chart dx, x\nf = 1", 11)])
-def test_coordinate_named_like_a_differential_is_refused_at_the_later_name(text, col):
+@pytest.mark.parametrize("text, col, long, short", [
+    ("chart x, dx\nf = 1", 10, "dx", "x"),
+    ("chart dx, x\nf = 1", 11, "dx", "x"),
+    ("chart dx, ddx", 11, "ddx", "dx"),
+    # a name that clashes with two earlier names is reported with the first declared
+    ("chart x, ddx, dx", 15, "dx", "x"),
+    ("chart ddx, x, dx", 15, "ddx", "dx"),
+])
+def test_coordinate_named_like_a_differential_is_refused_at_the_later_name(text, col, long, short):
     # `show` would print the 1-form d(x) as `dx`, which would read back as the coordinate
     with pytest.raises(ParseError) as info:
         parse_session(text)
-    assert str(info.value) == (f"1:{col}: E_PARSE: coordinate 'dx' collides with the "
-                               "differential of 'x'")
+    assert str(info.value) == (f"1:{col}: E_PARSE: coordinate '{long}' collides with the "
+                               f"differential of '{short}'")
 
 
 @pytest.mark.parametrize("pair, degree", [
