@@ -27,10 +27,14 @@ Every coefficient of a wedge product, an exterior derivative (as products
 bracket is a sum of products of coefficients; each is built by one call of
 the scalar kernel's fused sum of products.  The private accumulators
 ``_wedge_into``, ``_d_into``, ``_contract_into``, ``_scale_into``,
-``_lie_into`` and ``_apply_into`` append the (sign, a, b) products of one
-operation to a map from output index tuple to products (a list for scalar
-results), so a sum of several operations is still one kernel call per
-coefficient.
+``_lie_into`` and ``_apply_into`` append the kernel products of one
+operation, (sign, a, b) for sign * a * b and (sign, a, b, i) for
+sign * a * d_i b, to a map from output index tuple to products (a list for
+scalar results), so a sum of several operations is still one kernel call
+per coefficient.  A partial derivative is never built on its own: the
+derivative products run only along the coordinates their operand depends
+on (``scalars._variables``, in ascending order), and the kernel reads d_i b
+off b's terms.
 
 ``Form`` and ``VectorField`` are slotted frozen dataclasses.  The public
 constructors ``Form(...)``, ``Form.from_terms`` and ``VectorField(...)``
@@ -72,11 +76,12 @@ from .scalars import (
     _require_same_chart,
     _sealed,
     _sum_products,
+    _variables,
     coefficient_block,
 )
 
 Key = tuple[int, ...]
-Groups = dict[Key, list]  # output index tuple -> (sign, a, b) products
+Groups = dict[Key, list]  # output index tuple -> kernel products
 
 
 def _sign(e: int) -> int:
@@ -275,9 +280,9 @@ class VectorField:
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative: sum_i v^i d_i f."""
         _require_same_chart(self.chart, f.chart)
-        triples: list = []
-        _apply_into(triples, self, f)
-        return _sum_products(self.chart, triples)
+        products: list = []
+        _apply_into(products, self, f)
+        return _sum_products(self.chart, products)
 
     def contract(self, a: Form) -> Form:
         """Interior product: slot-wise pairing with alternating signs."""
@@ -358,20 +363,21 @@ def _trusted_vector(chart: Chart, components: tuple[ScalarField, ...]) -> Vector
 
 def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
     """The form whose coefficient at each key is the kernel's sum of that key's products."""
-    return _trusted_form(chart, degree, [(key, _sum_products(chart, triples))
-                                         for key, triples in groups.items()])
+    return _trusted_form(chart, degree, [(key, _sum_products(chart, products))
+                                         for key, products in groups.items()])
 
 
 def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:
     """The vector field whose component i is the kernel's sum of ``rows[i]``."""
-    return _trusted_vector(chart, tuple(_sum_products(chart, triples) for triples in rows))
+    return _trusted_vector(chart, tuple(_sum_products(chart, products) for products in rows))
 
 
 # ---------------------------------------------------------------------------
-# Accumulators.  Each appends the (sign, a, b) products of one operation,
-# scaled by an integer ``sign`` where it takes one, to ``groups``, a map from
-# output index tuple to products, or to ``triples``, the products of one
-# scalar.  Operands must share one chart; nothing checks it.
+# Accumulators.  Each appends the kernel products of one operation, (sign, a, b)
+# or the derivative product (sign, a, b, i), scaled by an integer ``sign``
+# where it takes one, to ``groups``, a map from output index tuple to
+# products, or to ``products``, those of one scalar.  Operands must share one
+# chart; nothing checks it.
 
 
 def _wedge_into(groups: Groups, a: Form, b: Form, sign: int = 1) -> None:
@@ -400,59 +406,50 @@ def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:
 
 
 def _d_into(groups: Groups, a: Form) -> None:
-    """d a: the product 1 * d_i a_I on the sorted key of (i,) + I, for each i not in I."""
+    """d a: the product 1 * d_i a_I on the sorted key of (i,) + I, for each i
+    that a_I depends on and I does not hold."""
     one = a.chart.constant(1)
-    n = a.chart.dim
     for key, poly in a.components.items():
-        for i in range(n):
+        for i in _variables(poly):
             new, parity = _normalize_key((i,) + key)
             if new is not None:
-                df = poly.diff(i)
-                if df:
-                    groups.setdefault(new, []).append((parity, one, df))
+                groups.setdefault(new, []).append((parity, one, poly, i))
 
 
-def _apply_into(triples: list, v: VectorField, f: ScalarField, sign: int = 1) -> None:
-    """sign * v(f) = sign * sum_i v^i d_i f."""
-    for i, comp in enumerate(v.components):
-        if comp:
-            df = f.diff(i)
-            if df:
-                triples.append((sign, comp, df))
+def _apply_into(products: list, v: VectorField, f: ScalarField, sign: int = 1) -> None:
+    """sign * v(f) = sign * sum_i v^i d_i f, over the i that f depends on."""
+    comps = v.components
+    for i in _variables(f):
+        if comps[i]:
+            products.append((sign, comps[i], f, i))
 
 
 def _lie_into(groups: Groups, v: VectorField, a: Form) -> None:
     """L_v a by the coordinate formula.
 
     Coefficient I gets v(a_I), and for each slot s of I and each coordinate
-    j the term a_I d_j v^{i_s} on I with slot s replaced by j (L_v dx^i is
-    d v^i), sorted by ``_normalize_key`` and dropped on a repeated index.
+    j that v^{i_s} depends on the term a_I d_j v^{i_s} on I with slot s
+    replaced by j (L_v dx^i is d v^i), sorted by ``_normalize_key`` and
+    dropped on a repeated index.
     """
     comps = v.components
-    n = len(comps)
-    dv: dict[int, list[ScalarField]] = {}  # i -> the partials of v^i, on first use
     for key, poly in a.components.items():
-        triples = groups.setdefault(key, [])
-        _apply_into(triples, v, poly)
+        _apply_into(groups.setdefault(key, []), v, poly)
         for s, i in enumerate(key):
-            row = dv.get(i)
-            if row is None:
-                row = dv[i] = [comps[i].diff(j) for j in range(n)] if comps[i] else []
-            for j, dvi in enumerate(row):
-                if dvi:
-                    new, parity = _normalize_key(key[:s] + (j,) + key[s + 1:])
-                    if new is not None:
-                        groups.setdefault(new, []).append((parity, poly, dvi))
+            for j in _variables(comps[i]):
+                new, parity = _normalize_key(key[:s] + (j,) + key[s + 1:])
+                if new is not None:
+                    groups.setdefault(new, []).append((parity, poly, comps[i], j))
 
 
 def _bracket_rows(v: VectorField, w: VectorField) -> list[list]:
     """The products of each component of [v, w]: v(w^i) - w(v^i)."""
     rows = []
     for vi, wi in zip(v.components, w.components):
-        triples: list = []
-        _apply_into(triples, v, wi)
-        _apply_into(triples, w, vi, -1)
-        rows.append(triples)
+        products: list = []
+        _apply_into(products, v, wi)
+        _apply_into(products, w, vi, -1)
+        rows.append(products)
     return rows
 
 

@@ -308,15 +308,15 @@ def _deformed_bracket(V: GeneralizedVector, W: GeneralizedVector) -> VectorField
     rows = _bracket_rows(V.v1, W.v1)
     kv0 = V.chart.k * V.v0
     if kv0:
-        for triples, wi in zip(rows, W.v1.components):
+        for products, wi in zip(rows, W.v1.components):
             if wi:
-                triples.append((1, kv0, wi))
+                products.append((1, kv0, wi))
     return _fused_vector(V.chart, rows)
 
 
 def _cross_scalar(V: GeneralizedVector, W: GeneralizedVector) -> ScalarField:
     """L_{v1} w0 - L_{w1} v0, one fused sum."""
-    triples: list = []
-    _apply_into(triples, V.v1, W.v0)
-    _apply_into(triples, W.v1, V.v0, -1)
-    return _sum_products(V.chart, triples)
+    products: list = []
+    _apply_into(products, V.v1, W.v0)
+    _apply_into(products, W.v1, V.v0, -1)
+    return _sum_products(V.chart, products)

@@ -17,15 +17,21 @@ Sums of products, the bulk of the exterior calculus above this module, go
 through one fused kernel, ``_sum_products``: it multiplies and accumulates
 every product into a single numerator map over the lcm of the operands'
 denominators (FLINT's "addmul into one accumulator") and canonicalises once,
-so no intermediate polynomial is built.  Its inner multiply-accumulate is
-compiled once per chart dimension, on first use, from source built from that
-integer alone (``_mac_for``), so each product's exponent key is one tuple
-display instead of a generic elementwise add, which was the largest cost of
-a term product.  ``*`` is its sum of one product,
-except that a product by the constant 0, 1 or -1 returns the zero, the other
-operand or its negation; likewise ``_combine`` returns the other operand of a
-sum with a zero summand, or of a difference with a zero subtrahend.  The
-chart check comes before either shortcut.
+so no intermediate polynomial is built.  A product may carry a coordinate
+i, and then it is a * d_i b: the kernel reads the terms of d_i b off b's
+numerators (exponent i lowered by one, the numerator times that exponent,
+over b's own denominator), so no partial derivative is built as a scalar of
+its own, and ``diff`` is the kernel's one such product with the constant 1.
+Its inner multiply-accumulate, shared by plain and derivative products, is
+compiled once per chart dimension, on first use, from source built from
+that integer alone (``_mac_for``), so each product's exponent key is one
+tuple display instead of a generic elementwise add, which was the
+largest cost of a term product.  Nothing is compiled per coordinate: one
+kernel for a 1,000-coordinate chart takes about 10 ms to compile.  ``*`` is
+its sum of one product, except that a product by the constant 0, 1 or -1
+returns the zero, the other operand or its negation; likewise ``_combine``
+returns the other operand of a sum with a zero summand, or of a difference
+with a zero subtrahend.  The chart check comes before either shortcut.
 
 Values are immutable after construction, so scalar fields are safe to share
 between threads, and an operation may return one of its operands.  Every
@@ -34,7 +40,8 @@ fills the three slots through their descriptors' cached setters and checks
 nothing.  Every scalar given as (numerator, denominator, exponents) monomials
 is built by ``_from_monomials``: the checked public constructors, the session
 parser and the trial generator.  No other module reads the layout; the
-session's limits use the private size queries here.
+session's limits and the derivative products of ``forms`` use the private
+size queries here.
 
 The chart also carries the deformation constant ``k`` used by the pair
 calculus built on top of this module; two charts are interchangeable only if
@@ -247,15 +254,11 @@ class ScalarField:
         return [self]
 
     def diff(self, coord: int) -> "ScalarField":
-        """Exact partial derivative with respect to coordinate ``coord``."""
+        """Exact partial derivative with respect to coordinate ``coord``: the
+        kernel's one derivative product 1 * d_coord self."""
         if not 0 <= coord < self.chart.dim:
             raise IndexError(f"coordinate index {coord} out of range for dimension {self.chart.dim}")
-        num: dict[Exponents, int] = {}
-        for exps, c in self._num.items():
-            e = exps[coord]
-            if e:
-                num[exps[:coord] + (e - 1,) + exps[coord + 1:]] = c * e
-        return _from_ints(self.chart, num, self._den)
+        return _sum_products(self.chart, ((1, self.chart.constant(1), self, coord),))
 
     def eval_at(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point (one value per coordinate).
@@ -297,11 +300,13 @@ class ScalarField:
 # frozen ``__setattr__`` at about half the cost of ``object.__setattr__``.
 # ``_sum_products`` runs the multiply-accumulate that ``_mac_for(n)`` compiles
 # lazily, once per dimension n, from a template that takes only the integer n,
-# so that each product's key is a tuple display.  The exponent key is the
-# largest cost of a term product: ``tuple(map(add, ea, eb))`` took 0.6-0.7 us
-# at dims 2 and 4, against 0.10-0.16 us for the unrolled tuple display and
-# 0.2 us for the accumulate step (timeit, CPython 3.11.7, 2-vCPU VM), and a
-# dim-2 ``check all`` pass makes about 140,000 term products.
+# so that each product's key is a tuple display; a derivative product hands
+# it the lowered terms of d_i b, so no kernel is compiled per coordinate.
+# The exponent key is the largest cost of a term product:
+# ``tuple(map(add, ea, eb))`` took 0.6-0.7 us at dims 2 and 4, against
+# 0.10-0.16 us for the unrolled tuple display and 0.2 us for the accumulate
+# step (timeit, CPython 3.11.7, 2-vCPU VM), and a dim-2 ``check all`` pass
+# makes about 140,000 term products.
 
 _set_chart = ScalarField.chart.__set__
 _set_num = ScalarField._num.__set__
@@ -372,11 +377,11 @@ def _unit(f: ScalarField) -> int:
 
 
 _MAC_TEMPLATE = """\
-def _mac(acc, a_num, b_num, factor):
+def _mac(acc, a_num, b_terms, factor):
     get = acc.get
     for ({a},), ca in a_num.items():
         ca *= factor
-        for eb, cb in b_num.items():
+        for eb, cb in b_terms:
             key = ({key},)
             acc[key] = get(key, 0) + ca * cb
 """
@@ -385,8 +390,10 @@ def _mac(acc, a_num, b_num, factor):
 @cache
 def _mac_for(n: int):
     """The multiply-accumulate for exponent vectors of length n:
-    ``mac(acc, a_num, b_num, factor)`` adds factor * a_num * b_num into acc
-    and leaves zeros in place.
+    ``mac(acc, a_num, b_terms, factor)`` adds factor * a_num * b_terms into
+    acc, where ``b_terms`` is a re-iterable of (exponents, numerator) pairs
+    (b's own, or those of a partial derivative of b), and leaves zeros in
+    place.
 
     Its source is built once per dimension, on first use, from the integers
     of ``range(n)`` alone, which refuses any n but an integer: it unpacks
@@ -400,27 +407,37 @@ def _mac_for(n: int):
     return namespace["_mac"]
 
 
-def _sum_products(chart: Chart,
-                  triples: Sequence[tuple[int, ScalarField, ScalarField]]) -> ScalarField:
-    """The fused kernel: sum of sign * a * b over the triples, canonicalised once.
+def _sum_products(chart: Chart, products: Sequence[tuple]) -> ScalarField:
+    """The fused kernel: the sum of the products, canonicalised once.
 
-    Every product is accumulated into one numerator map over the lcm of the
-    operands' denominator products, so the sum builds no intermediate
-    ``ScalarField`` and divides out its content with a single gcd.  The
-    operands must live on ``chart``; nothing checks it.
+    A product ``(sign, a, b)`` is sign * a * b, and a derivative product
+    ``(sign, a, b, i)`` is sign * a * d_i b.  Every product is accumulated
+    into one numerator map over the lcm of the operands' denominator
+    products, so the sum builds no intermediate ``ScalarField``, not even a
+    partial derivative, and divides out its content with a single gcd.  The
+    operands must live on ``chart`` and ``i`` must be one of its
+    coordinates; nothing checks either.
     """
-    dens = [a._den * b._den for _, a, b in triples]
+    dens = [p[1]._den * p[2]._den for p in products]  # indexed: a starred target builds a list
     den = lcm(*dens)
     acc: dict[Exponents, int] = {}
     mac = _mac_for(chart.dim)
-    for (sign, a, b), d in zip(triples, dens):
-        mac(acc, a._num, b._num, sign * (den // d))
+    for product, d in zip(products, dens):
+        if len(product) == 3:
+            sign, a, b = product
+            terms = b._num.items()
+        else:  # the terms of d_i b over b's own denominator
+            sign, a, b, i = product
+            terms = [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                     for e, c in b._num.items() if e[i]]
+        mac(acc, a._num, terms, sign * (den // d))
     return _from_ints(chart, {e: c for e, c in acc.items() if c}, den)
 
 
 # ---------------------------------------------------------------------------
-# Size queries.  The session's limits measure values through these, so that
-# no other module reads the layout.
+# Size queries.  The session's limits, and the derivative products of
+# ``forms``, measure values through these, so that no other module reads the
+# layout.
 
 _numerators = attrgetter("_num")
 
@@ -433,6 +450,11 @@ def _term_count(fields: Iterable[ScalarField]) -> int:
 def _int_bits(f: ScalarField) -> int:
     """The bit length of the largest integer of f, a numerator or its denominator."""
     return max(f._den.bit_length(), max(map(int.bit_length, f._num.values()), default=0))
+
+
+def _variables(f: ScalarField) -> list[int]:
+    """The coordinates f depends on, in ascending order: each i with d_i f nonzero."""
+    return [i for i, column in enumerate(zip(*f._num)) if any(column)]
 
 
 def _max_exponent(f: ScalarField) -> int:

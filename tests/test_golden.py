@@ -4,7 +4,10 @@ The digests and counterexample texts below were recorded with the original
 ``Fraction``-per-term scalar kernel, so they pin the printed form of scalars,
 forms, vectors and pairs across changes to the coefficient storage.  The
 trial-input digests were recorded before trial generation built integer
-numerators directly, so they pin every trial a ``check`` run draws.
+numerators directly, so they pin every trial a ``check`` run draws.  The
+trial-side digests were recorded while every partial derivative was still
+built as a scalar of its own, so they pin both computed sides of every
+equation across changes to how the operators differentiate.
 """
 
 import hashlib
@@ -60,6 +63,18 @@ TRIAL_INPUT_DIGESTS = {
     2: "32253cc0af94884be45179dc553c7313effbba597d5cf34d2032f4f6a2f1f81d",
     3: "963c07b4314310cc13df025052cc58c0238fd80797738bd49cf0c22c63818507",
     4: "af51efbbb8d2c83a0980f610b75a7d756370a02e0b707398e6b90283b025de95",
+}
+
+# sha256 of ``str(lhs)`` and ``str(rhs)``, each followed by a newline, of
+# every equation of every identity P1-P17 over the same trials, per
+# dimension.  Both sides of a passing equation print alike, so these pin the
+# computed values: an operator wrong in the same way on both sides of an
+# identity still changes them.
+TRIAL_SIDE_DIGESTS = {
+    1: "ed7ba721e06b8f9793561bd739f4c537eff18cf07b0b22ad24894c8e66191d39",
+    2: "6be65877e30869fdff9fbbb9b93b2d813c6050453fb04ed9ec7c88695df36fa2",
+    3: "5f15b116d501e1bafd94314dcda953f018e5de295db7aabce5aa25cf5f9a8278",
+    4: "67fef568ba44f8614522279b039439ef8f437236955e1591ffbea5c4b1b5f292",
 }
 
 # sha256 of the printed ``gen_form`` values of every degree from -1 to dim + 1
@@ -125,6 +140,18 @@ def test_trial_input_digests(dim):
             chart, env = _trial(ident, cfg, trial)
             digest.update(render_session(chart, env).encode("utf-8"))
     assert digest.hexdigest() == TRIAL_INPUT_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(TRIAL_SIDE_DIGESTS))
+def test_trial_side_digests(dim):
+    cfg = GenConfig(seed=11, dimension=dim)
+    digest = hashlib.sha256()
+    for ident in IDENTITIES.values():
+        for trial in range(16):
+            chart, env = _trial(ident, cfg, trial)
+            for lhs, rhs in ident.check(chart, **env):
+                digest.update(f"{lhs}\n{rhs}\n".encode("utf-8"))
+    assert digest.hexdigest() == TRIAL_SIDE_DIGESTS[dim]
 
 
 @pytest.mark.parametrize("owner,attr,mutant,identity,golden", [

@@ -14,7 +14,8 @@ vector operations built on it are checked against naive term-by-term
 versions kept here, which only use the public constructors and ``+ - *``.
 Its multiply-accumulate is compiled per dimension, so the kernel and scalar
 ``*`` are also checked at every dimension the harness serves (1 to
-``harness.MAX_DIMENSION``) and on one 12-coordinate chart.
+``harness.MAX_DIMENSION``) and on one 12-coordinate chart, with plain
+products sign * a * b and derivative products sign * a * d_i b mixed.
 """
 
 import copy
@@ -280,35 +281,51 @@ def test_values_stay_immutable_and_copyable():
 # The fused sum-of-products kernel and the operations built on it.
 
 
+COMPILED_DIMS = [*range(1, MAX_DIMENSION + 1), 12]
+
+
+def _chart(dim, k=0):
+    return Chart(NAMES[:dim] if dim <= len(NAMES) else tuple(f"x{i}" for i in range(dim)), k)
+
+
 @st.composite
-def product_sums(draw, dims=st.integers(1, 4)):
-    """A chart and (sign, a-terms, b-terms) triples; some triples cancel others."""
+def product_sums(draw, dims=st.integers(1, 4), derivatives=False):
+    """A chart and (sign, a-terms, b-terms) triples; some triples cancel others.
+    With ``derivatives``, some triples carry a coordinate i as a fourth entry:
+    the derivative product sign * a * d_i b."""
     dim = draw(dims)
-    chart = Chart(NAMES[:dim] if dim <= len(NAMES) else tuple(f"x{i}" for i in range(dim)),
-                  draw(coefficients))
+    chart = _chart(dim, draw(coefficients))
     triples = draw(st.lists(st.tuples(st.sampled_from([-3, -1, 1, 2]), term_lists(dim),
                                       term_lists(dim)), max_size=5))
-    for sign, pa, pb in list(triples):
+    if derivatives:
+        triples = [(*t, draw(st.integers(0, dim - 1))) if draw(st.booleans()) else t
+                   for t in triples]
+    for sign, pa, pb, *coord in list(triples):
         if draw(st.booleans()):
-            # the same product with the opposite sign, possibly written the other way round
-            triples.append((-sign, pb, pa) if draw(st.booleans()) else (-sign, pa, pb))
+            # the same product with the opposite sign, a plain one possibly written the other way round
+            triples.append((-sign, pb, pa) if not coord and draw(st.booleans())
+                           else (-sign, pa, pb, *coord))
     return chart, triples
 
 
 def assert_sum_products_matches(case):
-    """``_sum_products`` of the triples, and the sum of their ``*`` products,
-    against the reference."""
+    """``_sum_products`` of the products, and the sum of their ``*`` products,
+    against the reference, which computes a derivative product as a * d_i b."""
     chart, raw = case
-    triples = [(sign, ScalarField.from_terms(chart, pa), ScalarField.from_terms(chart, pb))
-               for sign, pa, pb in raw]
+    products = [(sign, ScalarField.from_terms(chart, pa), ScalarField.from_terms(chart, pb),
+                 *coord) for sign, pa, pb, *coord in raw]
     expected = {}
-    for sign, pa, pb in raw:
-        product = ref.mul(ref.normalize(chart.dim, pa), ref.normalize(chart.dim, pb))
+    for sign, pa, pb, *coord in raw:
+        rb = ref.normalize(chart.dim, pb)
+        for i in coord:
+            rb = ref.diff(rb, i)
+        product = ref.mul(ref.normalize(chart.dim, pa), rb)
         expected = ref.add(expected, ref.mul({(0,) * chart.dim: Fraction(sign)}, product))
-    got = _sum_products(chart, triples)
+    got = _sum_products(chart, products)
     assert_matches(got, expected, chart)
-    assert got == sum((s * a * b for s, a, b in triples), chart.constant(0))
-    for _, a, b in triples:
+    assert got == sum((s * a * (b.diff(*coord) if coord else b) for s, a, b, *coord in products),
+                      chart.constant(0))
+    for _, a, b, *_ in products:
         assert_matches(a * b, ref.mul(dict(a.terms), dict(b.terms)), chart)
     return got
 
@@ -329,6 +346,39 @@ def test_sum_products_matches_reference_at_every_dimension_it_is_compiled_for(di
     got = assert_sum_products_matches(data.draw(product_sums(st.just(dim))))
     assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
     assert _mac_for(dim) is _mac_for(dim)
+
+
+@pytest.mark.parametrize("dim", COMPILED_DIMS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_derivative_products_match_reference_at_every_dimension_it_is_compiled_for(dim, data):
+    """Plain and derivative products mixed in one sum run the same compiled
+    multiply-accumulate; every key it writes has the chart's length."""
+    got = assert_sum_products_matches(data.draw(product_sums(st.just(dim), derivatives=True)))
+    assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
+
+
+@pytest.mark.parametrize("dim", COMPILED_DIMS)
+def test_derivative_products_that_vanish_at_every_dimension(dim):
+    """A derivative product is zero when b is constant in x_i, when b is zero
+    and when a is zero; beside a nonzero one it leaves the sum unchanged."""
+    chart = _chart(dim, Fraction(2, 3))
+    x = chart.coordinates()
+    last = dim - 1
+    zero = chart.constant(0)
+    f = Fraction(1, 2) * x[0] * x[last] * x[last] - Fraction(2, 3) * x[0] + 7
+    flat = chart.constant(Fraction(5, 7)) + (x[0] if dim > 1 else 0)  # constant in x_last
+    vanishing = [(2, f, flat, last), (-1, f, zero, 0), (3, zero, f, last)]
+    assert_matches(_sum_products(chart, vanishing), {}, chart)
+    rf = dict(f.terms)
+    expected = ref.add(ref.mul(dict(flat.terms), ref.diff(rf, last)), ref.mul(rf, rf))
+    got = _sum_products(chart, [(1, flat, f, last), *vanishing, (1, f, f)])
+    assert_matches(got, expected, chart)
+    assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
+    assert_matches(f.diff(last), ref.diff(rf, last), chart)
+    for coord in (-1, dim):
+        with pytest.raises(IndexError):
+            f.diff(coord)
 
 
 def test_sum_products_edge_cases():

@@ -23,6 +23,7 @@ from genform import (
     render_session,
     substitute,
 )
+import genform.scalars as scalars
 import genform.session as session_module
 from genform.session import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_PRODUCT_TERMS
 
@@ -250,6 +251,24 @@ def test_round_trip_on_a_300_coordinate_chart():
     assert session.definitions["f"] == x[1] * x[3] - x[1] * x[299] + x[2] * x[3] - x[2] * x[299]
     assert str(session.definitions["f"]) == "x1*x3 - x1*x299 + x2*x3 - x2*x299"
     _round_trip(session.render())
+
+
+def test_derivatives_on_a_2000_coordinate_chart_compile_one_kernel():
+    """``d`` and ``L`` differentiate inside the scalar kernel, along the
+    coordinates their operand depends on; the kernel is compiled once for
+    the chart's dimension, never once per coordinate."""
+    names = [f"c{i}" for i in range(2000)]
+    compiled = scalars._mac_for.cache_info().currsize
+    session = parse_session(f"chart {', '.join(names)}\n"
+                            "g = d(c0*c1 + c2)\n"
+                            "b = L({@c0 ; c1}, [(c0*c1 + c2)*dc0 ; 0])")
+    x = session.chart.coordinates()
+    dx = one_forms(session.chart)
+    assert session.definitions["g"] == x[1] * dx[0] + x[0] * dx[1] + dx[2]
+    assert str(session.definitions["g"]) == "c1*dc0 + c0*dc1 + dc2"
+    assert session.definitions["b"] == GeneralizedForm(x[1] * dx[0], Form.zero(session.chart, 2))
+    assert str(session.definitions["b"]) == "[c1*dc0 ; 0]"
+    assert scalars._mac_for.cache_info().currsize <= compiled + 1
 
 
 def test_round_trip_generated_sessions():
