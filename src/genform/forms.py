@@ -192,7 +192,7 @@ class Form:
         """The () component of a degree <= 0 form (zero if absent)."""
         if self.degree > 0:
             raise DegreeError(f"degree-{self.degree} form has no scalar part")
-        return self.components.get((), self.chart.constant(0))
+        return self.components.get(()) or self.chart.constant(0)  # a stored coefficient is nonzero
 
     def __add__(self, other):
         if not isinstance(other, Form):
@@ -463,16 +463,21 @@ def coordinate_vectors(chart: Chart) -> tuple[VectorField, ...]:
     return tuple(_coordinate_vector(chart, i) for i in range(chart.dim))
 
 
-def _coordinate_vector(chart: Chart, i: int) -> VectorField:
-    """The coordinate vector field of coordinate i, which must be in range."""
+def _coordinate_vector(chart: Chart, i: int, coefficient: ScalarField | None = None) -> VectorField:
+    """The coordinate vector field of coordinate i, which must be in range, times
+    ``coefficient``, a scalar on ``chart`` (one when omitted): its only component
+    that may be nonzero is ``coefficient`` itself."""
     comps = [chart.constant(0)] * chart.dim
-    comps[i] = chart.constant(1)
+    comps[i] = chart.constant(1) if coefficient is None else coefficient
     return _trusted_vector(chart, tuple(comps))
 
 
-def _basis_form(chart: Chart, indices: Key) -> Form:
-    """The basis form dx_i ^ dx_j ^ ... of the in-range ``indices``, in any order:
-    the sorted key with the parity of the sort, and zero on a repeated index."""
+def _basis_form(chart: Chart, indices: Key, coefficient: ScalarField | None = None) -> Form:
+    """The basis form dx_i ^ dx_j ^ ... of the in-range ``indices``, in any order,
+    times ``coefficient``, a scalar on ``chart`` (one when omitted): the sorted
+    key with ``coefficient`` times the parity of the sort, and zero on a
+    repeated index or a zero coefficient."""
     key, sign = _normalize_key(indices)
-    pairs = () if key is None else ((key, chart.constant(sign)),)
+    coefficient = chart.constant(1) if coefficient is None else coefficient
+    pairs = () if key is None else ((key, sign * coefficient),)
     return _trusted_form(chart, len(indices), pairs)

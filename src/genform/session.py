@@ -94,18 +94,28 @@ map, so a chart is read in time linear in its length, and every later test
 of a coordinate name looks there too.  ``_atom`` is the only reader of a pair
 bracket: it reads ``expr ; expr`` and the closing ``]`` or ``}``, then
 ``_pair_form`` or ``_pair_vector`` checks the parts' kinds and degrees and
-builds the pair.  ``_factor`` is the only reader of
-a factor: a number not followed by ``^``, or a coordinate with its ``^``
-chain, is read as a monomial (numerator and denominator in lowest terms,
-exponents) without building a ScalarField.  ``_term`` multiplies two
-monomials directly, under the integer limit of products, and turns a
-monomial into a ScalarField only when it meets any other factor; ``_expr``
-adds a run of monomial terms with one ``scalars._from_monomials`` call.  A
-basis block is built directly: ``dx^dy`` by ``forms._basis_form`` (the sorted
-key with the parity of the sort, zero on a repeated differential) and ``@x``
-by ``forms._coordinate_vector``, both through the trusted constructors, so a
-``coefficient*basis`` block multiplies only by the constants 0, 1 or -1 and
-a sum of blocks adds zeros, which the scalar kernel returns without work.
+builds the pair.
+
+``_term`` reads a term in one loop: for each factor the minus chain, then
+the factor by its kind.  A coordinate with its ``^`` chain, or a number not
+raised by ``^``, folds into the term's pending monomial (numerator and
+denominator in lowest terms, exponents) without building a ScalarField; two
+numbers multiply under the integer limit of products.  ``_ratio`` reads a
+number and ``_exponent`` the integer after a ``^``; each converts a literal
+of at most ``MAX_LITERAL_DIGITS`` characters by one ``int()``, so
+``_literal`` is reached only for its diagnostic.  ``_term`` also reads a
+basis block, ``dx^dy`` or ``@x``.  A nonzero block, not followed by ``^``,
+with the pending monomial or a scalar on its left is built once with that as
+its coefficient, by ``forms._basis_form`` (the sorted key with the parity of
+the sort) or ``forms._coordinate_vector``, through the trusted constructors:
+a block is a unit term, so that product passes every limit, and none runs.
+``_factor`` reads every other factor, an atom with its ``^`` chain (a number
+raised by ``^`` among them), and raises E_TYPE at a ``^`` after a block.
+``_mul`` multiplies at its ``*`` such a factor, a number or coordinate after
+it, a zero block (``dx^dx``) and a block after anything but a scalar.  The
+pending monomial becomes a ScalarField only when it meets such a factor;
+``_expr`` adds a run of monomial terms with one ``scalars._from_monomials``
+call.
 """
 
 from __future__ import annotations
@@ -115,7 +125,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import Union
 
 from .errors import DegreeError, ParseError
@@ -435,18 +445,25 @@ class _Parser:
 
     def _ratio(self, at: int) -> tuple[int, int]:
         """The literal ``INT ("/" INT)?`` at token ``at`` as (num, den) in lowest terms."""
-        num = self._literal(at)
-        if self.tokens[self.pos] == "/":
+        tokens = self.tokens
+        num = int(tokens[at]) if len(tokens[at]) <= MAX_LITERAL_DIGITS else self._literal(at)
+        if tokens[self.pos] != "/":
+            return num, 1
+        den_at = self.pos = self.pos + 1
+        digits = tokens[den_at]
+        if digits.isdecimal() and len(digits) <= MAX_LITERAL_DIGITS:
+            den = int(digits)
             self.pos += 1
-            den_at = self._int("a denominator")
-            den = self._literal(den_at)
-            if den == 0:
-                self._err(den_at, "E_PARSE", "zero denominator")
-            g = gcd(num, den)
-            return num // g, den // g
-        return num, 1
+        else:
+            den = self._literal(self._int("a denominator"))
+        if den == 0:
+            self._err(den_at, "E_PARSE", "zero denominator")
+        g = gcd(num, den)
+        return num // g, den // g
 
     def _literal(self, at: int) -> int:
+        """The integer token ``at``; E_PARSE when it has more than MAX_LITERAL_DIGITS
+        digits after its leading zeros."""
         digits = self.tokens[at].lstrip("0") or "0"
         if len(digits) > MAX_LITERAL_DIGITS:
             self._err(at, "E_PARSE",
@@ -493,49 +510,78 @@ class _Parser:
         return _from_monomials(self.chart, (value,)) if type(value) is tuple else value
 
     def _term(self) -> Value | _Monomial:
-        """A term's value, or its monomial when every factor is a number or coordinate."""
-        tokens = self.tokens
-        value = self._factor()
-        while tokens[self.pos] == "*":
+        """A term's value, or its monomial when every factor is a number or a coordinate.
+
+        While every factor so far is a number or a coordinate, the pending
+        monomial is the term.  The module docstring says which factors fold
+        into it, which basis blocks are built with a coefficient and which
+        products ``_mul`` computes.
+        """
+        tokens, coords, chart, dim = self.tokens, self.coords, self.chart, self.chart.dim
+        num, den, exps = 1, 1, [0] * dim  # the pending monomial
+        value = None  # the term so far, once a factor other than a number or coordinate joined it
+        op = None  # the index of the '*' before the factor, None for the first factor
+        while True:
+            at = start = self.pos
+            while tokens[at] == "-":  # a loop, not recursion: "- - - x" is flat
+                at += 1
+            negate = (at - start) & 1
+            tok = tokens[at]
+            self.pos = at + 1
+            factor = None  # set when the factor starts the term or joins it by ``_mul``
+            if tok in coords:
+                i, power = coords[tok], 1
+                while tokens[self.pos] == "^":
+                    self.pos += 1
+                    power *= self._exponent()
+                if value is None:
+                    num = -num if negate else num
+                    exps[i] += power
+                else:
+                    factor = self._as_value((1, 1, (0,) * i + (power,) + (0,) * (dim - i - 1)))
+            elif tok.isdecimal():
+                bn, bd = self._ratio(at)
+                if tokens[self.pos] == "^" or value is not None:
+                    factor = self._factor(self._as_value((bn, bd, (0,) * dim)))
+                else:
+                    bn = -bn if negate else bn
+                    if not (den == 1 and num in (1, -1) or bd == 1 and bn in (1, -1)):
+                        self._check_bits(max(num.bit_length(), den.bit_length()),
+                                         max(bn.bit_length(), bd.bit_length()), op)
+                    g, h = gcd(num, bd), gcd(bn, den)  # keeps the product in lowest terms
+                    num, den = (num // g) * (bn // h), (den // h) * (bd // g)
+            elif tok == "@" or self._is_differential(tok):
+                if tok == "@":
+                    if tokens[self.pos] not in coords:
+                        self._err(self.pos, "E_NAME", "'@' must be followed by a coordinate name")
+                    build, index = _coordinate_vector, coords[tokens[self.pos]]
+                    self.pos += 1
+                else:
+                    build, index = _basis_form, self._dblock(tok)
+                if (tokens[self.pos] == "^" or build is _basis_form and len(set(index)) < len(index)
+                        or not (value is None or isinstance(value, ScalarField))):
+                    factor = self._factor(build(chart, index))  # E_TYPE at a '^', else ``_mul``
+                else:  # a nonzero block: a scalar times a unit term passes every limit
+                    c = self._as_value((num, den, tuple(exps))) if value is None else value
+                    value = build(chart, index, -c if negate else c)
+            else:
+                self.pos = at
+                factor = self._factor()
+            if factor is not None:
+                if negate:
+                    factor = -factor
+                value = factor if op is None else self._mul(
+                    self._as_value((num, den, tuple(exps))) if value is None else value, factor, op)
+            if tokens[self.pos] != "*":
+                return (num, den, tuple(exps)) if value is None else value
             op = self.pos
             self.pos += 1
-            factor = self._factor()
-            if type(value) is not tuple or type(factor) is not tuple:
-                value = self._mul(self._as_value(value), self._as_value(factor), op)
-                continue
-            (an, ad, ae), (bn, bd, be) = value, factor
-            if not (ad == 1 and an in (1, -1) or bd == 1 and bn in (1, -1)):
-                self._check_bits(max(an.bit_length(), ad.bit_length()),
-                                 max(bn.bit_length(), bd.bit_length()), op)
-            g, h = gcd(an, bd), gcd(bn, ad)  # keeps the product in lowest terms
-            value = (an // g) * (bn // h), (ad // h) * (bd // g), tuple(map(add, ae, be))
-        return value
 
-    def _factor(self) -> Value | _Monomial:
-        """A factor's value, or its monomial for a number not raised by ``^`` or a coordinate."""
+    def _factor(self, atom: Value | None = None) -> Value:
+        """``atom``, or else the atom read next, with its ``^`` chain: a factor that
+        ``_term`` neither folds into its monomial nor builds as a basis block."""
         tokens = self.tokens
-        start = pos = self.pos
-        while tokens[pos] == "-":  # a loop, not recursion: "- - - x" is flat
-            pos += 1
-        negate = (pos - start) & 1
-        tok = tokens[pos]
-        self.pos = pos + 1
-        if tok.isdecimal():
-            num, den = self._ratio(pos)
-            if tokens[self.pos] != "^":
-                return (-num if negate else num), den, (0,) * self.chart.dim
-            value = _from_monomials(self.chart, ((num, den, (0,) * self.chart.dim),))
-        elif tok in self.coords:
-            power = 1
-            while tokens[self.pos] == "^":
-                self.pos += 1
-                power *= self._exponent()
-            exps = [0] * self.chart.dim
-            exps[self.coords[tok]] = power
-            return (-1 if negate else 1), 1, tuple(exps)
-        else:
-            self.pos = pos
-            value = self._atom()
+        value = self._atom() if atom is None else atom
         while tokens[self.pos] == "^":
             caret = self.pos
             if not isinstance(value, ScalarField):
@@ -544,12 +590,17 @@ class _Parser:
                           "chain directly (dx^dy) and general forms use wedge(...)")
             self.pos += 1
             value = self._power(value, self._exponent(), caret)
-        return -value if negate else value
+        return value
 
     def _exponent(self) -> int:
         """The integer after a ``^``, at most MAX_EXPONENT."""
-        at = self._int("an integer exponent")
-        exponent = self._literal(at)
+        at = self.pos
+        digits = self.tokens[at]
+        if digits.isdecimal() and len(digits) <= MAX_LITERAL_DIGITS:
+            self.pos = at + 1
+            exponent = int(digits)
+        else:
+            exponent = self._literal(self._int("an integer exponent"))
         if exponent > MAX_EXPONENT:
             self._err(at, "E_PARSE", f"exponent {self.tokens[at]} exceeds {MAX_EXPONENT}")
         return exponent
@@ -604,7 +655,7 @@ class _Parser:
                       f"exceeds {_PRODUCT_BITS} bits")
 
     def _atom(self) -> Value:
-        """Any factor but a number or a coordinate, which ``_factor`` reads."""
+        """An atom that is not a number, a coordinate or a basis block, which ``_term`` reads."""
         tokens = self.tokens
         at = self.pos
         tok = tokens[at]
@@ -614,15 +665,7 @@ class _Parser:
                 return self._opcall(at)
             if tok in self.definitions:
                 return self.definitions[tok]
-            if self._is_differential(tok):
-                return self._dblock(tok)
             self._err(at, "E_NAME", f"unknown name '{tok}'")
-        if tok == "@":
-            name = tokens[self.pos]
-            if name not in self.coords:
-                self._err(self.pos, "E_NAME", f"'@' must be followed by a coordinate name")
-            self.pos += 1
-            return _coordinate_vector(self.chart, self.coords[name])
         if tok == "(":
             value = self._expr()
             self._expect(")")
@@ -638,13 +681,14 @@ class _Parser:
     def _is_differential(self, tok: str) -> bool:
         return len(tok) > 1 and tok[0] == "d" and tok[1:] in self.coords
 
-    def _dblock(self, first: str) -> Form:
+    def _dblock(self, first: str) -> tuple[int, ...]:
+        """The coordinate indices of the differentials ``first^dy^...``, in the order written."""
         tokens = self.tokens
         indices = [self.coords[first[1:]]]
         while tokens[self.pos] == "^" and self._is_differential(tokens[self.pos + 1]):
             indices.append(self.coords[tokens[self.pos + 1][1:]])
             self.pos += 2
-        return _basis_form(self.chart, tuple(indices))
+        return tuple(indices)
 
     def _pair_form(self, open_at: int, first: Value, second: Value) -> GeneralizedForm:
         """The pair form ``[first ; second]`` whose ``[`` is token ``open_at``."""

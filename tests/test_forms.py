@@ -26,6 +26,18 @@ def chart2():
     return Chart(("x", "y"))
 
 
+def test_scalar_part_is_the_stored_coefficient_or_a_zero_on_the_chart():
+    ch = chart2()
+    x, y = ch.coordinates()
+    f = x * y + 1
+    assert Form.from_scalar(f).scalar_part() is f
+    for degree in (0, -1):
+        zero = Form.zero(ch, degree).scalar_part()
+        assert zero.is_zero and zero.chart is ch
+    with pytest.raises(DegreeError):
+        one_forms(ch)[0].scalar_part()
+
+
 def test_basis_wedge():
     ch = chart2()
     dx, dy = one_forms(ch)

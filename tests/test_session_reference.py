@@ -91,6 +91,13 @@ def test_parser_agrees_with_reference_on_mutated_sessions(text):
 @example("chart x, y\r\na = x\r\nb = $")
 @example("chart x, y\na =\tx\t*\t")
 @example("chart x, y\na =\tx\t%")
+# Basis blocks built with their coefficient, and the cases left to '*': a block
+# on the left, a zero block, a factor after a block, a block raised by '^' and a
+# pair vector before a block.
+@example("chart x, y\na = x*dx^dy\nb = dx^dy*x\nc = x*dy^dx\ng = x*dx^dx\nh = 0*dx")
+@example("chart x, y\na = -x*@y\nb = @y*x\nc = 2*x*dx*3\ng = x*dx*y\nh = x^2^3*dy")
+@example("chart x, y\na = x*dx^2")
+@example("chart x, y\na = {@x ; 1}*dx")
 def test_parser_agrees_with_reference_on_short_text(text):
     _assert_agrees(text)
 
