@@ -27,11 +27,13 @@ compiled once per chart dimension, on first use, from source built from
 that integer alone (``_mac_for``), so each product's exponent key is one
 tuple display instead of a generic elementwise add, which was the
 largest cost of a term product.  Nothing is compiled per coordinate: one
-kernel for a 1,000-coordinate chart takes about 10 ms to compile.  ``*`` is
-its sum of one product, except that a product by the constant 0, 1 or -1
-returns the zero, the other operand or its negation; likewise ``_combine``
-returns the other operand of a sum with a zero summand, or of a difference
-with a zero subtrahend.  The chart check comes before either shortcut.
+kernel for a 1,000-coordinate chart takes about 10 ms to compile.  ``*`` of
+two scalars is the chart check and the kernel's sum of one product, whose
+result is already canonical for a zero or unit operand.  Only ``_combine``
+keeps a shortcut, after the chart check: a sum with a zero summand, or a
+difference with a zero subtrahend, returns the other operand, because sums
+of basis blocks mostly have one (a vector field's components outside its
+blocks' coordinates are zero).
 
 Values are immutable after construction, so scalar fields are safe to share
 between threads, and an operation may return one of its operands.  Every
@@ -223,19 +225,9 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             _require_same_chart(self.chart, other.chart)
-            if not self._num:
-                return self
-            if not other._num:
-                return other
-            unit = _unit(other)
-            if unit:
-                return self if unit == 1 else -self
-            unit = _unit(self)
-            if unit:
-                return other if unit == 1 else -other
             return _sum_products(self.chart, ((1, self, other),))
         if isinstance(other, (int, Fraction)):
-            if other == 1 or not self._num:
+            if other == 1:
                 return self
             if not other:
                 return _from_ints(self.chart, {}, 1)
@@ -365,15 +357,6 @@ def _combine(a: ScalarField, b: ScalarField, sign: int) -> ScalarField:
         else:
             del acc[e]
     return _from_ints(a.chart, acc, da)
-
-
-def _unit(f: ScalarField) -> int:
-    """1 or -1 when f is that constant, else 0."""
-    num = f._num
-    if len(num) != 1 or f._den != 1:
-        return 0
-    ((exps, c),) = num.items()
-    return c if c in (1, -1) and not any(exps) else 0
 
 
 _MAC_TEMPLATE = """\

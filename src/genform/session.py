@@ -14,11 +14,11 @@ Grammar sketch (whitespace and newlines are insignificant, ``#`` starts a
 line comment)::
 
     session   := chartdecl def*
-    chartdecl := "chart" IDENT ("," IDENT)* ("k" "=" rational)?
+    chartdecl := "chart" IDENT ("," IDENT)* ("k" "=" "-"* rational)?
     def       := IDENT "=" expr
     expr      := term (("+" | "-") term)*
     term      := factor ("*" factor)*
-    factor    := "-" factor | atom ("^" INT)?
+    factor    := "-" factor | atom ("^" INT)*
     atom      := rational | IDENT | dblock | "@" IDENT | "(" expr ")"
                | opname "(" expr ("," expr)* ")"
                | "[" expr ";" expr "]" | "{" expr ";" expr "}"
@@ -101,9 +101,12 @@ the factor by its kind.  A coordinate with its ``^`` chain, or a number not
 raised by ``^``, folds into the term's pending monomial (numerator and
 denominator in lowest terms, exponents) without building a ScalarField; two
 numbers multiply under the integer limit of products.  ``_ratio`` reads a
-number and ``_exponent`` the integer after a ``^``; each converts a literal
-of at most ``MAX_LITERAL_DIGITS`` characters by one ``int()``, so
-``_literal`` is reached only for its diagnostic.  ``_term`` also reads a
+number (the chart's ``k`` too) and ``_exponent`` the integer after a ``^``.
+Each converts a token of at most ``MAX_LITERAL_DIGITS`` characters by one
+``int()`` in place and hands a longer one to ``_literal``, which strips its
+leading zeros and applies the digit limit; ``_int`` reports a token that is
+not an integer.  The short case stays in place because a call per literal
+to one reader made a parse about 2% slower.  ``_term`` also reads a
 basis block, ``dx^dy`` or ``@x``.  A nonzero block, not followed by ``^``,
 with the pending monomial or a scalar on its left is built once with that as
 its coefficient, by ``forms._basis_form`` (the sorted key with the parity of

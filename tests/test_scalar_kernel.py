@@ -161,9 +161,10 @@ def _trivial_or_general(dim):
 @kernel_settings
 @given(st.integers(1, 4), st.sampled_from([Fraction(0), Fraction(-2, 3)]), st.data())
 def test_zero_and_one_operands_match_reference(dim, k, data):
-    """A product by the constant 0, 1 or -1 and a sum with 0 skip the kernel's
-    work but must give what the reference gives, on the operands' chart, and
-    must still refuse an operand on another chart."""
+    """A product by the scalar constant 0, 1 or -1 (one kernel product) or by
+    the rational 0 or 1, and a sum with 0 (which returns the other operand),
+    must give what the reference gives, on the operands' chart, and must
+    still refuse an operand on another chart."""
     chart = Chart(NAMES[:dim], k)
     pairs = data.draw(_trivial_or_general(dim))
     f = ScalarField.from_terms(chart, pairs)

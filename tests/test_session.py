@@ -356,6 +356,8 @@ def test_exponent_bound_is_checked_before_evaluating(monkeypatch):
     ("chart x\na = 1/{}", 7),
     ("chart x k={}\na = x", 11),
     ("chart x k=-3/{}\na = x", 14),
+    ("chart x\na = x^{}", 7),
+    ("chart x\na = (x)^{}", 9),
 ])
 def test_overlong_integer_literal_is_a_parse_error(template, col):
     with pytest.raises(ParseError) as info:
@@ -367,10 +369,13 @@ def test_overlong_integer_literal_is_a_parse_error(template, col):
 
 def test_literal_limit_counts_digits_after_leading_zeros():
     widest = "9" * MAX_LITERAL_DIGITS
-    session = parse_session(f"chart x k=1/{widest}\na = {widest}*x\nb = {'0' * 5000}7")
+    session = parse_session(f"chart x k=1/{widest}\na = {widest}*x\nb = {'0' * 5000}7\n"
+                            f"c = x^{'0' * 5000}2\nq = 1/{'0' * 5000}3")
     assert session.definitions["a"].terms == {(1,): int(widest)}
     assert session.chart.k == Fraction(1, int(widest))
     assert session.definitions["b"] == session.chart.constant(7)
+    assert session.definitions["c"] == ScalarField(session.chart, {(2,): 1})
+    assert session.definitions["q"] == session.chart.constant(Fraction(1, 3))
 
 
 def test_product_term_limit_stops_a_power_before_its_work(monkeypatch):
