@@ -134,9 +134,24 @@ def _rng(cfg: GenConfig, *position) -> random.Random:
 # (seed, "slot", trial, slot index), so one trial's slots draw independently.
 
 
+def _below(bits: Callable[[int], int], m: int) -> int:
+    """A uniform draw from range(m), m >= 1, from ``bits = rng.getrandbits``.
+
+    This is CPython's ``Random._randbelow`` rule, ``m.bit_length()`` bits a
+    try, the rule behind ``randint``, ``randrange`` and ``shuffle``, so the
+    stream is the one those would draw.
+    """
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
 def _gen_rational(rng: random.Random, bound: int) -> Fraction:
     """A random rational num/den with |num| <= bound and 1 <= den <= bound."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    bits = rng.getrandbits
+    return Fraction(_below(bits, 2 * bound + 1) - bound, 1 + _below(bits, bound))
 
 
 def _k(cfg: GenConfig, *trial: int) -> Fraction:
@@ -158,54 +173,28 @@ def default_chart(cfg: GenConfig) -> Chart:
 
 
 def _scalar(rng: random.Random, cfg: GenConfig, chart: Chart) -> ScalarField:
-    """A random polynomial, every uniform draw written out inline.
+    """A random polynomial, each uniform draw one ``_below`` call.
 
-    Each ``while r >= m`` loop below is one ``rng.randrange(m)`` as CPython's
-    ``Random._randbelow`` draws it, ``m.bit_length()`` bits per try.  In
-    order: the term count, then per term the total degree, its split over
+    In order: the term count, then per term the total degree, its split over
     the coordinates, the shuffle of the exponents (as ``rng.shuffle``), and a
-    nonzero coefficient: the numerator's magnitude, its sign
-    (``randrange(2)``, two bits a try) and the denominator.
+    nonzero coefficient: the numerator's magnitude, its sign and the
+    denominator.
     """
     bits = rng.getrandbits
-    n = chart.dim
-    terms, degrees, bound = cfg.max_terms, cfg.max_poly_degree + 1, cfg.coefficient_bound
-    terms_bits, degree_bits, bound_bits = (
-        terms.bit_length(), degrees.bit_length(), bound.bit_length())
-    count = bits(terms_bits)
-    while count >= terms:
-        count = bits(terms_bits)
+    n, bound = chart.dim, cfg.coefficient_bound
     drawn = []
-    for _ in range(count + 1):
+    for _ in range(1 + _below(bits, cfg.max_terms)):
         exps = [0] * n
-        remaining = bits(degree_bits)
-        while remaining >= degrees:
-            remaining = bits(degree_bits)
+        remaining = _below(bits, cfg.max_poly_degree + 1)
         for i in range(n - 1):
-            m = remaining + 1
-            k = m.bit_length()
-            e = bits(k)
-            while e >= m:
-                e = bits(k)
-            exps[i] = e
+            exps[i] = e = _below(bits, remaining + 1)
             remaining -= e
         exps[n - 1] = remaining
         for i in range(n - 1, 0, -1):
-            k = (i + 1).bit_length()
-            j = bits(k)
-            while j > i:
-                j = bits(k)
+            j = _below(bits, i + 1)
             exps[i], exps[j] = exps[j], exps[i]
-        c = bits(bound_bits)
-        while c >= bound:
-            c = bits(bound_bits)
-        sign = bits(2)
-        while sign >= 2:
-            sign = bits(2)
-        d = bits(bound_bits)
-        while d >= bound:
-            d = bits(bound_bits)
-        drawn.append((c + 1 if sign else -1 - c, d + 1, tuple(exps)))
+        c = 1 + _below(bits, bound)
+        drawn.append((c if _below(bits, 2) else -c, 1 + _below(bits, bound), tuple(exps)))
     return _from_monomials(chart, drawn)
 
 
@@ -468,7 +457,7 @@ def scheduled_degrees(dimension: int, trial: int, count: int,
     if count == 1:
         return ((trial % span) - 1,)
     return (((trial // span) % span) - 1, (trial % span) - 1,
-            *[rng.randrange(span) - 1 for _ in range(count - 2)])
+            *[_below(rng.getrandbits, span) - 1 for _ in range(count - 2)])
 
 
 def _trial(ident: Identity, cfg: GenConfig, trial: int) -> tuple[Chart, dict]:

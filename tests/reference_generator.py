@@ -1,10 +1,11 @@
-"""The trial generator's scalar draws as a helper-per-draw composition.
+"""The trial generator's scalar draws, frozen as the stream's reference.
 
-A frozen copy of ``_below``, ``_gen_ratio`` and ``_scalar`` from
-``genform.harness`` as they stood before ``_scalar`` drew inline: every
-uniform draw goes through ``below``, CPython's ``Random._randbelow``.
-``tests/test_generator_stream.py`` checks the inline draws against it, value
-for value and generator state for generator state.
+A frozen copy of the helper-per-draw generator: every uniform draw goes
+through ``below``, CPython's ``Random._randbelow``.  ``genform.harness``
+draws the same way through its own ``_below``, but this copy does not
+follow it: ``tests/test_generator_stream.py`` checks the harness's draws
+against it, value for value and generator state for generator state, so a
+change to the harness that moves the stream fails there.
 """
 
 from math import lcm

@@ -54,6 +54,10 @@ CASES = [
      "cannot take a Lie derivative of int"),
     ("dimension 0", lambda: GenConfig(dimension=0), ValueError, "dimension must be at least 1"),
     ("no terms", lambda: GenConfig(max_terms=0), ValueError, "generator bounds out of range"),
+    ("negative degree", lambda: GenConfig(max_poly_degree=-1), ValueError,
+     "generator bounds out of range"),
+    ("no coefficients", lambda: GenConfig(coefficient_bound=0), ValueError,
+     "generator bounds out of range"),
     ("replay of an unknown identity", lambda: replay_env("P99", "chart x\n"),
      UnknownIdentityError, "unknown identity 'P99'"),
     ("scalar + str", lambda: X + "x", TypeError, _unsupported("+", "ScalarField", "str")),

@@ -328,3 +328,37 @@ def test_pair_results_carry_their_formula_degree(n):
             zeros += sum(got.is_zero for _, got, _ in cases)
     assert wrong == []
     assert zeros > 0
+
+
+def _drawn_triples(n):
+    """(V, W, a0) drawn on a dim-n chart for each k in {0, 3/2, -2}, seed and position."""
+    for k in (Fraction(0), Fraction(3, 2), Fraction(-2)):
+        chart = Chart(("x", "y", "z", "w")[:n], k)
+        for seed in range(4):
+            cfg = GenConfig(seed=seed, dimension=n, k=k)
+            for position in range(5):
+                yield (chart, gen_gvector(cfg, ("V", position), chart),
+                       gen_gvector(cfg, ("W", position), chart),
+                       gen_gform(cfg, 0, ("a0", position), chart))
+
+
+def _holds_mostly_nonzero(cases):
+    """Every (lhs, rhs) case is equal, and more than three quarters are nonzero."""
+    assert [index for index, (lhs, rhs) in enumerate(cases) if lhs != rhs] == []
+    assert sum(not lhs.is_zero for lhs, _ in cases) > len(cases) * 3 // 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_action_on_fields_minus_commutator(n):
+    """V.lie(W) - V.commutator(W) = (k v0 w1, L_{w1} v0), as the README states."""
+    _holds_mostly_nonzero([(V.lie(W) - V.commutator(W),
+                            GeneralizedVector(chart.k * V.v0 * W.v1, W.v1.apply(V.v0)))
+                           for chart, V, W, _ in _drawn_triples(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_corrected_lie_is_leibniz_over_scaling(n):
+    """V.lie(a0 W) = (V.lie a0) W + a0 V.lie(W) for a degree-0 pair a0."""
+    _holds_mostly_nonzero([(V.lie(W.scaled_by(a0)),
+                            W.scaled_by(V.lie(a0)) + V.lie(W).scaled_by(a0))
+                           for _, V, W, a0 in _drawn_triples(n)])

@@ -20,6 +20,13 @@ every other module walks a value's coefficients through its ``_map`` and
 ``_coefficients``.  ``harness.py`` is exempt, because its reference
 expansions of the pair formulas are written on the parts themselves.
 
+The trial generator has one draw rule: every random integer ``harness.py``
+draws is one ``_below(bits, m)`` call, CPython's ``_randbelow`` on
+``rng.getrandbits``.  The only other generator call is ``rng.random()``, so
+no ``randint``, ``randrange``, ``shuffle`` or ``choice`` appears, nothing
+calls ``getrandbits`` outside ``_below``, and no loop but ``_below``'s
+rejects a draw.
+
 The benchmark's tracer (``bench/tracer.py``) wraps each method it patches by
 reading it from its class's own ``__dict__``, so every patched method must be
 defined or bound in that class, not inherited.  The value types therefore
@@ -30,6 +37,7 @@ class by ``forms._value_type`` and ``scalars._sealed``.
 import ast
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import genform
@@ -116,6 +124,63 @@ def test_the_search_finds_the_parts_where_they_are_read():
     assert any("reads .components" in use for use in part_uses(SRC / "forms.py"))
     uses = " ".join(part_uses(SRC / "generalized.py"))
     assert all(f"reads .{part}" in uses for part in PARTS - {"components"})
+
+
+# the drawing methods of a generator, all but the two the draw rule keeps
+DRAWS = {name for name in dir(random.Random) if not name.startswith("__")} - {
+    "random", "getrandbits", "seed", "getstate", "setstate", "VERSION"}
+
+
+def draw_uses(source: str) -> list[str]:
+    """Each place in harness source that draws other than by ``_below`` or ``rng.random()``."""
+    tree = ast.parse(source)
+    inside_below = {id(node) for function in ast.walk(tree)
+                    if isinstance(function, ast.FunctionDef) and function.name == "_below"
+                    for node in ast.walk(function)}
+    bits_names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "getrandbits"
+                  for target in node.targets if isinstance(target, ast.Name)}
+    uses = []
+    for node in ast.walk(tree):
+        if id(node) in inside_below:
+            continue
+        if isinstance(node, ast.While):
+            uses.append(f"{node.lineno}: rejection loop")
+        elif isinstance(node, ast.Attribute) and node.attr in DRAWS:
+            uses.append(f"{node.lineno}: calls {node.attr}")
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in bits_names
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "getrandbits"):
+            uses.append(f"{node.lineno}: calls getrandbits")
+    return uses
+
+
+def test_the_generator_draws_every_integer_through_below():
+    source = (SRC / "harness.py").read_text()
+    assert "def _below(" in source
+    assert draw_uses(source) == []
+
+
+def test_the_search_finds_draws_outside_below():
+    source = """
+def _below(bits, m):
+    r = bits(m.bit_length())
+    while r >= m:
+        r = bits(m.bit_length())
+    return r
+
+def draw(rng):
+    bits = rng.getrandbits
+    count = bits(3)
+    while count >= 5:
+        count = bits(3)
+    rng.shuffle([rng.randint(0, 1), rng.randrange(4), rng.choice("ab"), rng.getrandbits(2)])
+    return _below(bits, 4) + rng.random()
+"""
+    assert {use.split(": ", 1)[1] for use in draw_uses(source)} == {
+        "rejection loop", "calls getrandbits", "calls shuffle", "calls randint",
+        "calls randrange", "calls choice"}
+    assert {"randint", "randrange", "shuffle", "choice", "_randbelow"} <= DRAWS
 
 
 VALUE_TYPES = (ScalarField, Form, VectorField, GeneralizedForm, GeneralizedVector)
