@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GenformError, ParseError
-from .harness import GenConfig, IDENTITIES, parse_k_spec, run_identity
+from .harness import GenConfig, IDENTITIES, run_identity
 from .scalars import Chart
 from .session import parse_rational, parse_session, value_at
 
@@ -123,6 +123,19 @@ def _cmd_show(args) -> int:
     return 0
 
 
+def _parse_k_spec(spec: str) -> Fraction | None:
+    """The ``GenConfig.k`` a ``--k`` argument names: ``random`` (None), ``zero``
+    or a rational as ``session.parse_rational`` reads it."""
+    if spec == "random":
+        return None
+    if spec == "zero":
+        return Fraction(0)
+    try:
+        return parse_rational(spec)
+    except ValueError:
+        raise ValueError(f"bad k spec {spec!r}: expected 'random', 'zero' or a rational") from None
+
+
 def _cmd_check(args) -> int:
     if args.identity == "all":
         names = list(IDENTITIES)
@@ -134,7 +147,7 @@ def _cmd_check(args) -> int:
     try:
         if args.trials < 1:
             raise ValueError("trials must be positive")
-        cfg = GenConfig(seed=args.seed, dimension=args.dim, k=parse_k_spec(args.k))
+        cfg = GenConfig(seed=args.seed, dimension=args.dim, k=_parse_k_spec(args.k))
     except ValueError as exc:
         _diag(f"genform: E_USAGE: {exc}")
         return 2

@@ -31,9 +31,13 @@ the scalar kernel's fused sum of products.  The private accumulators
 operation, (sign, a, b) for sign * a * b and (sign, a, b, i) for
 sign * a * d_i b, to a map from output index tuple to products (a list for
 scalar results), so a sum of several operations is still one kernel call
-per coefficient.  A partial derivative is never built on its own: the
-derivative products run only along the coordinates their operand depends
-on (``scalars._variables``, in ascending order), and the kernel reads d_i b
+per coefficient.  An accumulator appends no product that is zero by its
+factor: none for a zero vector component (``_contract_into``,
+``_apply_into``), and none at all for a zero factor or a zero sign
+(``_scale_into``), so its callers test no factor and no sign for zero.  A
+partial derivative is never built on its own: the derivative products run
+only along the coordinates their operand depends on
+(``scalars._variables``, in ascending order), and the kernel reads d_i b
 off b's terms.
 
 ``Form`` and ``VectorField`` are slotted frozen dataclasses.  The public
@@ -41,7 +45,10 @@ constructors ``Form(...)``, ``Form.from_terms`` and ``VectorField(...)``
 check keys, degrees, lengths and charts.  Results of the operations here go
 through one private trusted constructor per type, ``_trusted_form`` (which
 only drops zero coefficients) and ``_trusted_vector``, which fill the slots
-through their descriptors' cached setters.
+through their descriptors' cached setters.  ``_trusted_vector`` is made by
+``_trusted_two_part``, which reads a two-field type's dataclass fields and
+returns its trusted constructor; the pair types' constructors are made by
+it too.
 
 Every value type walks its coefficients in one place: ``_map(fn)`` is the
 value of the same type with ``fn`` applied to each coefficient, built by the
@@ -63,7 +70,7 @@ is not compared, so a form compares its chart and components; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from operator import neg
@@ -332,7 +339,6 @@ def _basis_sum(pairs: Iterable[tuple[ScalarField, str]]) -> str:
 _set_form_chart = Form.chart.__set__
 _set_degree = Form.degree.__set__
 _set_form_components = Form.components.__set__
-_set_vector_chart = VectorField.chart.__set__
 _set_vector_components = VectorField.components.__set__
 
 
@@ -350,15 +356,23 @@ def _trusted_form(chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarFi
     return f
 
 
-def _trusted_vector(chart: Chart, components: tuple[ScalarField, ...]) -> VectorField:
-    """The trusted constructor of internal vector fields: checks nothing.
+def _trusted_two_part(cls):
+    """The trusted constructor of a value type with two fields: it takes them in
+    field order, fills the two slots through their cached setters and checks
+    nothing."""
+    set_first, set_second = [getattr(cls, f.name).__set__ for f in fields(cls)]
 
-    ``components`` must be a tuple of ``chart.dim`` scalars on ``chart``.
-    """
-    v = object.__new__(VectorField)
-    _set_vector_chart(v, chart)
-    _set_vector_components(v, components)
-    return v
+    def trusted(first, second):
+        value = object.__new__(cls)
+        set_first(value, first)
+        set_second(value, second)
+        return value
+    return trusted
+
+
+# ``_trusted_vector(chart, components)``: ``components`` must be a tuple of
+# ``chart.dim`` scalars on ``chart``.
+_trusted_vector = _trusted_two_part(VectorField)
 
 
 def _fused_form(chart: Chart, degree: int, groups: Groups) -> Form:
@@ -376,8 +390,10 @@ def _fused_vector(chart: Chart, rows: list[list]) -> VectorField:
 # Accumulators.  Each appends the kernel products of one operation, (sign, a, b)
 # or the derivative product (sign, a, b, i), scaled by an integer ``sign``
 # where it takes one, to ``groups``, a map from output index tuple to
-# products, or to ``products``, those of one scalar.  Operands must share one
-# chart; nothing checks it.
+# products, or to ``products``, those of one scalar.  None appends a product
+# that is zero by its factor: a zero vector component, or in ``_scale_into``
+# a zero factor or a zero sign, adds nothing, so no caller tests for zero.
+# Operands must share one chart; nothing checks it.
 
 
 def _wedge_into(groups: Groups, a: Form, b: Form, sign: int = 1) -> None:
@@ -400,9 +416,10 @@ def _contract_into(groups: Groups, v: VectorField, a: Form) -> None:
 
 
 def _scale_into(groups: Groups, f: ScalarField, a: Form, sign: int = 1) -> None:
-    """sign * f a."""
-    for key, poly in a.components.items():
-        groups.setdefault(key, []).append((sign, f, poly))
+    """sign * f a; nothing for a zero f or a zero sign."""
+    if f and sign:
+        for key, poly in a.components.items():
+            groups.setdefault(key, []).append((sign, f, poly))
 
 
 def _d_into(groups: Groups, a: Form) -> None:

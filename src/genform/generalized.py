@@ -39,8 +39,11 @@ commutator is one call of the scalar kernel's fused sum of products: the slot
 formulas above are collected with the accumulators of :mod:`genform.forms`
 into one list of products per output coefficient, so a slot that is a sum
 of several terms, such as the ordinary slot of d with its k term, builds no
-intermediate form.  In lie on forms, ``k v0`` is scaled once and both slots
-multiply it by their integer degree factor.  The ordinary Lie derivative
+intermediate form.  A term whose factor or sign is zero, such as that k term
+at k = 0 or the v0 term of contract at p = 0, adds no product to its sum:
+the accumulators drop it, so no formula here tests for zero.  In lie on
+forms, ``k v0`` is scaled once and each slot multiplies it by minus the
+degree of the part it scales, -p or -(p+1).  The ordinary Lie derivative
 L_{v1} uses the coordinate formula, while lie_cartan stays the literal
 composition I_V d + d I_V, so the identities relating the two compare
 independent computations.
@@ -53,9 +56,11 @@ dataclass's comparison of its two parts.  The signs (-1)^q, (-1)^{p+1} and
 ``GeneralizedForm(...)`` and ``GeneralizedVector(...)`` check charts and
 degrees; every operation result goes through one private trusted
 constructor per type, ``_trusted_pair`` and ``_trusted_gvector``, which
-check nothing.  Each pair type's ``_map`` and ``_coefficients`` walk its two
-parts with theirs, so unary ``-`` and scalar ``*`` act slot by slot;
-scaling a pair vector by a pair zero-form is ``scaled_by``.
+check nothing.  Both are made by ``forms._trusted_two_part`` from the
+type's two fields, as ``forms._trusted_vector`` is.  Each pair type's
+``_map`` and ``_coefficients`` walk its two parts with theirs, so unary
+``-`` and scalar ``*`` act slot by slot; scaling a pair vector by a pair
+zero-form is ``scaled_by``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .forms import (
     _lie_into,
     _scale_into,
     _sign,
+    _trusted_two_part,
     _value_type,
     _wedge_into,
 )
@@ -149,8 +155,7 @@ class GeneralizedForm:
         chart = self.chart
         ordinary: Groups = {}
         _d_into(ordinary, self.ordinary)
-        if chart.k:
-            _scale_into(ordinary, chart.constant(chart.k), self.companion, _sign(self.degree + 1))
+        _scale_into(ordinary, chart.constant(chart.k), self.companion, _sign(self.degree + 1))
         return _trusted_pair(_fused_form(chart, self.degree + 1, ordinary), self.companion.d())
 
     def __str__(self) -> str:
@@ -212,8 +217,7 @@ class GeneralizedVector:
         p = a.degree
         groups: Groups = {}
         _contract_into(groups, self.v1, a.companion)
-        if p and self.v0:
-            _scale_into(groups, self.v0, a.ordinary, p * _sign(p - 1))
+        _scale_into(groups, self.v0, a.ordinary, p * _sign(p - 1))
         return _trusted_pair(self.v1.contract(a.ordinary),
                              _fused_form(self.chart, p, groups))
 
@@ -231,19 +235,14 @@ class GeneralizedVector:
         """
         if isinstance(target, GeneralizedForm):
             _require_same_chart(self.chart, target.chart)
-            p = target.degree
-            ordinary: Groups = {}
-            companion: Groups = {}
-            _lie_into(ordinary, self.v1, target.ordinary)
-            _lie_into(companion, self.v1, target.companion)
             kv0 = self.chart.k * self.v0
-            if kv0:
-                if p:
-                    _scale_into(ordinary, kv0, target.ordinary, -p)
-                if p + 1:
-                    _scale_into(companion, kv0, target.companion, -(p + 1))
-            return _trusted_pair(_fused_form(self.chart, p, ordinary),
-                                 _fused_form(self.chart, p + 1, companion))
+            slots = []
+            for part in (target.ordinary, target.companion):
+                groups: Groups = {}
+                _lie_into(groups, self.v1, part)
+                _scale_into(groups, kv0, part, -part.degree)
+                slots.append(_fused_form(self.chart, part.degree, groups))
+            return _trusted_pair(*slots)
         if isinstance(target, GeneralizedVector):
             _require_same_chart(self.chart, target.chart)
             return _trusted_gvector(_deformed_bracket(self, target),
@@ -277,40 +276,21 @@ def cartan_residual(V: GeneralizedVector, W: GeneralizedVector,
 
 
 # ---------------------------------------------------------------------------
-# Trusted constructors of internal results, on cached slot setters like those
-# of ``forms``: they check neither charts nor degrees.
+# Trusted constructors of internal results, made by ``forms._trusted_two_part``:
+# they check neither charts nor degrees.  ``_trusted_pair(ordinary,
+# companion)`` needs both parts on one chart and the companion's degree to
+# follow; ``_trusted_gvector(v1, v0)`` needs both parts on one chart.
 
-_set_ordinary = GeneralizedForm.ordinary.__set__
-_set_companion = GeneralizedForm.companion.__set__
-_set_v1 = GeneralizedVector.v1.__set__
-_set_v0 = GeneralizedVector.v0.__set__
-
-
-def _trusted_pair(ordinary: Form, companion: Form) -> GeneralizedForm:
-    """The pair (ordinary, companion); both must live on one chart and the
-    companion's degree must follow."""
-    a = object.__new__(GeneralizedForm)
-    _set_ordinary(a, ordinary)
-    _set_companion(a, companion)
-    return a
-
-
-def _trusted_gvector(v1: VectorField, v0: ScalarField) -> GeneralizedVector:
-    """The pair vector (v1, v0); both must live on one chart."""
-    V = object.__new__(GeneralizedVector)
-    _set_v1(V, v1)
-    _set_v0(V, v0)
-    return V
+_trusted_pair = _trusted_two_part(GeneralizedForm)
+_trusted_gvector = _trusted_two_part(GeneralizedVector)
 
 
 def _deformed_bracket(V: GeneralizedVector, W: GeneralizedVector) -> VectorField:
     """[v1, w1] + k v0 w1, each component one fused sum."""
     rows = _bracket_rows(V.v1, W.v1)
     kv0 = V.chart.k * V.v0
-    if kv0:
-        for products, wi in zip(rows, W.v1.components):
-            if wi:
-                products.append((1, kv0, wi))
+    for products, wi in zip(rows, W.v1.components):
+        products.append((1, kv0, wi))
     return _fused_vector(V.chart, rows)
 
 

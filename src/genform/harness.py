@@ -61,7 +61,7 @@ from .generalized import (
     cartan_residual,
 )
 from .scalars import Chart, ScalarField, _from_monomials, rational_str
-from .session import parse_rational, parse_session, render_session
+from .session import parse_session, render_session
 
 _COORD_NAMES = ("x", "y", "z", "w")
 # A trial's p-forms have C(n, p) components, so the dimension sets the work of a check.
@@ -104,19 +104,6 @@ class GenConfig:
         k = "random" if self.k is None else rational_str(self.k)
         return (f"seed={self.seed} dim={self.dimension} max_deg={self.max_poly_degree} "
                 f"max_terms={self.max_terms} bound={self.coefficient_bound} k={k}")
-
-
-def parse_k_spec(spec: str) -> Fraction | None:
-    """The ``GenConfig.k`` a CLI --k argument names: ``random`` (None), ``zero``
-    or a rational as ``session.parse_rational`` reads it."""
-    if spec == "random":
-        return None
-    if spec == "zero":
-        return Fraction(0)
-    try:
-        return parse_rational(spec)
-    except ValueError:
-        raise ValueError(f"bad k spec {spec!r}: expected 'random', 'zero' or a rational") from None
 
 
 def _rng(cfg: GenConfig, *position) -> random.Random:

@@ -17,7 +17,7 @@ from genform import (
     gen_vector,
     one_forms,
 )
-from genform.forms import _normalize_key
+from genform.forms import _normalize_key, _scale_into
 
 from oracle_tensors import contract_at_point, form_values, wedge_at_point
 
@@ -36,6 +36,22 @@ def test_scalar_part_is_the_stored_coefficient_or_a_zero_on_the_chart():
         assert zero.is_zero and zero.chart is ch
     with pytest.raises(DegreeError):
         one_forms(ch)[0].scalar_part()
+
+
+def test_scale_into_appends_nothing_for_a_zero_factor_or_a_zero_sign():
+    """sign * f a is one product per component of a, and no product at all
+    when f or the sign is zero, so a pair formula with a vanishing factor,
+    such as the k term of d at k = 0, calls it without a test."""
+    chart = chart2()
+    x, y = chart.coordinates()
+    a = Form(chart, 1, {(0,): x, (1,): y * y})
+    for f, sign in ((chart.constant(0), 1), (x, 0), (chart.constant(0), 0)):
+        groups = {}
+        _scale_into(groups, f, a, sign)
+        assert groups == {}
+    groups = {(1,): [(1, y, y)]}
+    _scale_into(groups, x, a, -2)
+    assert groups == {(1,): [(1, y, y), (-2, x, y * y)], (0,): [(-2, x, x)]}
 
 
 def test_basis_wedge():

@@ -6,10 +6,17 @@ form result is compared with the oracle's as one element a_p + a_{p+1} ∧ ζ
 together with its degree, which is the generator rule's degree even for a
 zero result, and a pair vector result by its parts.
 
-The last two tests complete the graded Cartan table beyond P4, P9, P13 and
+The next two tests complete the graded Cartan table beyond P4, P9, P13 and
 P14: the oracle builds {I_V, I_W} and [d, L^_V] from their values on
 generators with its own ``_extend``, and each is also checked against the
 closed form its docstring derives.
+
+The last two state the algebra of the uncorrected derivative L^c_V =
+I_V d + d I_V (``lie_cartan``), which P9-P11 relate to other operations
+but no identity states on its own: [d, L^c_V] = 0 and
+[L^c_V, L^c_W] = L^c_{{V,W}}, with the commutator {V,W} of the corrected
+algebra.  Each law is checked on the library's values and on the oracle's
+own compositions, and the library's side is compared with the oracle's.
 """
 
 from fractions import Fraction
@@ -17,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from genform import Chart, Form, GenConfig, GeneralizedForm, gen_gform, gen_gvector
-from oracle_zeta import (Oracle, _extend, pair_element, vector_element, vector_parts,
+from oracle_zeta import (Oracle, _extend, add, pair_element, vector_element, vector_parts,
                          wedge)
 
 NAMES = ("x", "y", "z", "w")
@@ -173,3 +180,69 @@ def test_commutator_of_d_and_the_corrected_lie_derivative(n):
     assert failures == []
     assert count == 12 * (n + 2)
     assert nonzero > count // 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_d_commutes_with_the_uncorrected_lie_derivative(n):
+    r"""[d, L^c_V] = d L^c_V - L^c_V d = 0, in the library and in the oracle.
+
+    I_V and d are odd, so L^c_V = I_V d + d I_V is their graded commutator,
+    and d L^c_V - L^c_V d = d I_V d + d d I_V - I_V d d - d I_V d
+    = d² I_V - I_V d².  d² is the even derivation ½[d, d], which vanishes on
+    every generator: d²f = Σ_{i,j} ∂_j ∂_i f dx_j ∧ dx_i = 0,
+    d² dx_i = 0 and d² ζ = d k = 0.  So d² = 0 (P4) and [d, L^c_V] a = 0,
+    a zero of degree p + 1, for every k.  Unlike [d, L^_V], whose closed
+    form carries k, nothing of this law depends on the deformation.
+    """
+    failures, nonzero, count = [], 0, 0
+    for label, chart, oracle, V, W, p, a in cartan_instances(n):
+        v, e = vector_parts(V), pair_element(a)
+        image = V.lie_cartan(a).d()
+        got = image - V.lie_cartan(a.d())
+        expected = add(oracle.d(oracle.lie_cartan(v, e)),
+                       oracle.lie_cartan(v, oracle.d(e)), -1)
+        if not got.is_zero or got.degree != p + 1 or expected != {}:
+            failures.append(label)
+        nonzero += bool(image)
+        count += 1
+    assert failures == []
+    assert count == 12 * (n + 2)
+    assert nonzero > count // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_commutator_of_uncorrected_lie_derivatives_is_along_the_bracket(n):
+    r"""[L^c_V, L^c_W] = L^c_{{V,W}}, in the library and in the oracle.
+
+    Both sides are even derivations: L^c_V is the graded commutator of the
+    odd I_V and d, and a commutator of even derivations is one.  Both kill
+    ζ, as L^c_V ζ = I_V k + d I_V ζ = 0, and both commute with d: the left
+    side by the graded Jacobi identity and [d, L^c_V] = 0 (the test
+    above), the right side by that law itself.  So each is fixed by its
+    values on functions, since D dx_i = D d x_i = d D x_i.  On a function,
+    I_V df = Σ_i ∂_i f (v1^i + v0 dx_i ∧ ζ) and I_V f = 0 give
+    L^c_V f = v1(f) + v0 df ∧ ζ.  So L^c_V df = d L^c_V f =
+    d v1(f) + dv0 ∧ df ∧ ζ - k v0 df, as dζ = k, and with ζ ∧ ζ = 0
+      L^c_V L^c_W f = v1(w1(f)) + (v0 d w1(f) + v1(w0) df + w0 d v1(f)
+                       - k v0 w0 df) ∧ ζ.
+    Subtracting V ↔ W cancels the v0 d w1(f), the w0 d v1(f) and the k
+    terms, so [L^c_V, L^c_W] f = [v1, w1](f) + (v1(w0) - w1(v0)) df ∧ ζ,
+    which is L^c_X f for X = ([v1, w1], L_{v1} w0 - L_{w1} v0) = {V, W}.
+    The Lie bracket ``V.lie(W)``, with its k v0 w1 term, would not do.
+    """
+    failures, nonzero, count = [], 0, 0
+    for label, chart, oracle, V, W, p, a in cartan_instances(n):
+        v, w, e = vector_parts(V), vector_parts(W), pair_element(a)
+        left = V.lie_cartan(W.lie_cartan(a)) - W.lie_cartan(V.lie_cartan(a))
+        right = V.commutator(W).lie_cartan(a)
+        oracle_left = add(oracle.lie_cartan(v, oracle.lie_cartan(w, e)),
+                          oracle.lie_cartan(w, oracle.lie_cartan(v, e)), -1)
+        oracle_right = oracle.lie_cartan(oracle.commutator(v, w), e)
+        if (left != right or left.degree != p or oracle_left != oracle_right
+                or pair_element(left) != oracle_left):
+            failures.append(label)
+        nonzero += bool(left)
+        count += 1
+    assert failures == []
+    assert count == 12 * (n + 2)
+    assert nonzero > count // 2
