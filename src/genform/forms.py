@@ -48,12 +48,14 @@ only drops zero coefficients) and ``_trusted_vector``, which fill the slots
 through their descriptors' cached setters.  ``_trusted_vector`` is made by
 ``_trusted_two_part``, which reads a two-field type's dataclass fields and
 returns its trusted constructor; the pair types' constructors are made by
-it too.
+it too.  It is memoized, one constructor per type, so every caller that
+asks for a type's constructor gets the same function.
 
 Every value type walks its coefficients in one place: ``_map(fn)`` is the
 value of the same type with ``fn`` applied to each coefficient, built by the
 type's trusted constructor, and ``_coefficients()`` lists them; the pair
-types of :mod:`genform.generalized` build both from their parts', and
+types of :mod:`genform.generalized` build both from their parts' by one
+rule, ``generalized._pair_type``, and
 ``ScalarField`` is its own one coefficient.  The rules the value types share
 are written once here: ``-`` between two values (``_sub``), truth
 (``_nonzero``), unary ``-`` (``_neg``) and scalar ``*`` (``_rmul``), the
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import neg
 from typing import Iterable, Mapping
@@ -356,10 +359,11 @@ def _trusted_form(chart: Chart, degree: int, pairs: Iterable[tuple[Key, ScalarFi
     return f
 
 
+@cache
 def _trusted_two_part(cls):
     """The trusted constructor of a value type with two fields: it takes them in
     field order, fills the two slots through their cached setters and checks
-    nothing."""
+    nothing.  It is made once per type, so every caller gets the same one."""
     set_first, set_second = [getattr(cls, f.name).__set__ for f in fields(cls)]
 
     def trusted(first, second):

@@ -48,22 +48,35 @@ L_{v1} uses the coordinate formula, while lie_cartan stays the literal
 composition I_V d + d I_V, so the identities relating the two compare
 independent computations.
 
-Both pair types are declared by ``_value_type`` of :mod:`genform.forms`, as
-``Form`` and ``VectorField`` are, which makes each a sealed slotted frozen
+Both pair types are declared by one class decorator, ``_pair_type``.  It
+applies ``_value_type`` of :mod:`genform.forms`, as ``Form`` and
+``VectorField`` are declared, which makes each a sealed slotted frozen
 dataclass with the shared rules in its own ``__dict__``; its equality is the
-dataclass's comparison of its two parts.  The signs (-1)^q, (-1)^{p+1} and
-(-1)^{p-1} above are ``forms._sign`` of the degree.
+dataclass's comparison of its two parts.  It then reads the type's two
+fields and binds the four members a value made of two values has: ``chart``
+is the first part's, ``is_zero`` holds when both parts are zero,
+``_map(fn)`` is the pair of both parts' ``_map(fn)``, and
+``_coefficients()`` lists the first part's coefficients, then the second's.
+Every part has these four, ``ScalarField`` (the v0 of a pair vector)
+included, so one body of each serves both types, and unary ``-`` and scalar
+``*`` act slot by slot; scaling a pair vector by a pair zero-form is
+``scaled_by``.  What stays per type is what differs: the public checks,
+``degree``, ``zero`` and the embedding of an ordinary value, ``+`` (with
+the pair form's degree rule) and the formulas.  The signs (-1)^q,
+(-1)^{p+1} and (-1)^{p-1} above are ``forms._sign`` of the degree.
 ``GeneralizedForm(...)`` and ``GeneralizedVector(...)`` check charts and
-degrees; every operation result goes through one private trusted
-constructor per type, ``_trusted_pair`` and ``_trusted_gvector``, which
-check nothing.  Both are made by ``forms._trusted_two_part`` from the
-type's two fields, as ``forms._trusted_vector`` is.  Each pair type's
-``_map`` and ``_coefficients`` walk its two parts with theirs, so unary
-``-`` and scalar ``*`` act slot by slot; scaling a pair vector by a pair
-zero-form is ``scaled_by``.
+degrees; every operation result, ``_map``'s included, goes through one
+private trusted constructor per type, ``_trusted_pair`` and
+``_trusted_gvector``, which check nothing.  Both are made by
+``forms._trusted_two_part`` from the type's two fields, as
+``forms._trusted_vector`` is; it is memoized, so ``_pair_type`` and this
+module's names hold the same constructor.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+from operator import attrgetter
 
 from .errors import ChartMismatchError, DegreeError
 from .scalars import Chart, ScalarField, _require_same_chart, _sum_products
@@ -86,7 +99,23 @@ from .forms import (
 )
 
 
-@_value_type
+def _pair_type(cls):
+    """Declare cls with ``_value_type`` and bind the members a value made of two
+    values takes from its two fields: ``chart`` is the first part's,
+    ``is_zero`` holds when both parts are zero, ``_map(fn)`` is the pair of
+    both parts' ``_map(fn)``, built by the type's trusted constructor, and
+    ``_coefficients()`` lists the first part's, then the second's."""
+    cls = _value_type(cls)
+    first, second = (attrgetter(f.name) for f in fields(cls))
+    trusted = _trusted_two_part(cls)
+    cls.chart = property(attrgetter(f"{fields(cls)[0].name}.chart"))
+    cls.is_zero = property(lambda self: first(self).is_zero and second(self).is_zero)
+    cls._map = lambda self, fn: trusted(first(self)._map(fn), second(self)._map(fn))
+    cls._coefficients = lambda self: first(self)._coefficients() + second(self)._coefficients()
+    return cls
+
+
+@_pair_type
 class GeneralizedForm:
     """An ordered pair of an ordinary p-form and an ordinary (p+1)-form."""
 
@@ -103,10 +132,6 @@ class GeneralizedForm:
             )
 
     @property
-    def chart(self) -> Chart:
-        return self.ordinary.chart
-
-    @property
     def degree(self) -> int:
         return self.ordinary.degree
 
@@ -118,10 +143,6 @@ class GeneralizedForm:
     def from_form(cls, a: Form) -> "GeneralizedForm":
         """Embed an ordinary form as the pair (a, 0)."""
         return _trusted_pair(a, Form.zero(a.chart, a.degree + 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ordinary.is_zero and self.companion.is_zero
 
     def __add__(self, other):
         if not isinstance(other, GeneralizedForm):
@@ -135,12 +156,6 @@ class GeneralizedForm:
             raise DegreeError(f"cannot add pairs of degree {self.degree} and {other.degree}")
         return _trusted_pair(self.ordinary + other.ordinary,
                              self.companion + other.companion)
-
-    def _map(self, fn) -> "GeneralizedForm":
-        return _trusted_pair(self.ordinary._map(fn), self.companion._map(fn))
-
-    def _coefficients(self) -> list[ScalarField]:
-        return self.ordinary._coefficients() + self.companion._coefficients()
 
     def wedge(self, other: "GeneralizedForm") -> "GeneralizedForm":
         _require_same_chart(self.chart, other.chart)
@@ -162,7 +177,7 @@ class GeneralizedForm:
         return f"[{self.ordinary} ; {self.companion}]"
 
 
-@_value_type
+@_pair_type
 class GeneralizedVector:
     """An ordered pair of an ordinary vector field and an ordinary scalar field."""
 
@@ -173,10 +188,6 @@ class GeneralizedVector:
         if self.v1.chart != self.v0.chart:
             raise ChartMismatchError("pair components live on different charts")
 
-    @property
-    def chart(self) -> Chart:
-        return self.v1.chart
-
     @classmethod
     def zero(cls, chart: Chart) -> "GeneralizedVector":
         return _trusted_gvector(VectorField.zero(chart), chart.constant(0))
@@ -186,20 +197,10 @@ class GeneralizedVector:
         """Embed an ordinary vector field as the pair (v, 0)."""
         return _trusted_gvector(v, v.chart.constant(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.v1.is_zero and self.v0.is_zero
-
     def __add__(self, other):
         if not isinstance(other, GeneralizedVector):
             return NotImplemented
         return _trusted_gvector(self.v1 + other.v1, self.v0 + other.v0)
-
-    def _map(self, fn) -> "GeneralizedVector":
-        return _trusted_gvector(self.v1._map(fn), self.v0._map(fn))
-
-    def _coefficients(self) -> list[ScalarField]:
-        return self.v1._coefficients() + self.v0._coefficients()
 
     def scaled_by(self, a0: GeneralizedForm) -> "GeneralizedVector":
         """Scale by a generalized zero-form: a0 V = (a0_0 v1, a0_0 v0 + i_{v1} a0_1)."""
@@ -276,10 +277,11 @@ def cartan_residual(V: GeneralizedVector, W: GeneralizedVector,
 
 
 # ---------------------------------------------------------------------------
-# Trusted constructors of internal results, made by ``forms._trusted_two_part``:
-# they check neither charts nor degrees.  ``_trusted_pair(ordinary,
-# companion)`` needs both parts on one chart and the companion's degree to
-# follow; ``_trusted_gvector(v1, v0)`` needs both parts on one chart.
+# Trusted constructors of internal results, made by ``forms._trusted_two_part``
+# (the ones ``_pair_type`` bound into ``_map``): they check neither charts nor
+# degrees.  ``_trusted_pair(ordinary, companion)`` needs both parts on one
+# chart and the companion's degree to follow; ``_trusted_gvector(v1, v0)``
+# needs both parts on one chart.
 
 _trusted_pair = _trusted_two_part(GeneralizedForm)
 _trusted_gvector = _trusted_two_part(GeneralizedVector)

@@ -4,9 +4,11 @@
 trusted constructors, so they are compared here with the checked public
 construction on every index tuple, alone and times a coefficient.  A session
 made only of basis blocks and literal coefficients builds each block with its
-coefficient and adds zeros, which the scalar kernel returns without its fused
-sum of products: a count of
-the kernel's calls, not a timing, guards that.  Likewise counts of calls show
+coefficient and adds the blocks.  A sum with a zero summand returns the other
+operand, and two nonzero coefficients at one key, as in
+``(x - 1)*dx^dy + y*dy^dx``, are merged by ``scalars._combine``; neither runs
+the scalar kernel's fused sum of products: a count of the kernel's calls,
+not a timing, guards that.  Likewise counts of calls show
 that the parser reads a term of numbers and coordinates without its reader of
 other factors, and builds a block after a scalar with that scalar as its
 coefficient instead of multiplying a unit block by it.

@@ -31,7 +31,11 @@ The benchmark's tracer (``bench/tracer.py``) wraps each method it patches by
 reading it from its class's own ``__dict__``, so every patched method must be
 defined or bound in that class, not inherited.  The value types therefore
 have no base but ``object``, and the rules they share are bound into each
-class by ``forms._value_type`` and ``scalars._sealed``.
+class by ``forms._value_type`` and ``scalars._sealed``.  The two pair types
+share one more rule, ``generalized._pair_type``: their ``chart``,
+``is_zero``, ``_map`` and ``_coefficients`` come from one body each, read
+off the type's two fields, and ``_map`` builds through the type's one
+trusted constructor.
 """
 
 import ast
@@ -41,7 +45,8 @@ import random
 from pathlib import Path
 
 import genform
-from genform import Form, GeneralizedForm, GeneralizedVector, ScalarField, VectorField, forms, scalars
+from genform import (Form, GeneralizedForm, GeneralizedVector, ScalarField, VectorField, forms,
+                     generalized, scalars)
 
 SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
@@ -218,3 +223,15 @@ def test_the_shared_rules_are_bound_into_each_value_type():
             assert own["__neg__"] is forms._neg
             assert own["__sub__"] is forms._sub
             assert own["__rmul__"] is forms._rmul
+
+
+def test_both_pair_types_share_one_body_per_protocol_member():
+    pair_types = (GeneralizedForm, GeneralizedVector)
+    for cls in pair_types:
+        assert {"chart", "is_zero", "_map", "_coefficients"} <= set(vars(cls))
+    form, vector = (vars(cls) for cls in pair_types)
+    assert form["_map"].__code__ is vector["_map"].__code__
+    assert form["_coefficients"].__code__ is vector["_coefficients"].__code__
+    assert form["is_zero"].fget.__code__ is vector["is_zero"].fget.__code__
+    assert forms._trusted_two_part(GeneralizedForm) is generalized._trusted_pair
+    assert forms._trusted_two_part(GeneralizedVector) is generalized._trusted_gvector

@@ -11,12 +11,18 @@ P14: the oracle builds {I_V, I_W} and [d, L^_V] from their values on
 generators with its own ``_extend``, and each is also checked against the
 closed form its docstring derives.
 
-The last two state the algebra of the uncorrected derivative L^c_V =
+The next two state the algebra of the uncorrected derivative L^c_V =
 I_V d + d I_V (``lie_cartan``), which P9-P11 relate to other operations
 but no identity states on its own: [d, L^c_V] = 0 and
 [L^c_V, L^c_W] = L^c_{{V,W}}, with the commutator {V,W} of the corrected
 algebra.  Each law is checked on the library's values and on the oracle's
 own compositions, and the library's side is compared with the oracle's.
+
+The last one checks the README's V.lie(W) - V.commutator(W) =
+(k v0 w1, L_{w1} v0) against the oracle's two vector rules and their closed
+form.  The Leibniz rule of L^_V over ``scaled_by`` is not among these: the
+ζ algebra cannot state ``scaled_by`` (see ``oracle_zeta``), so that law is
+checked against the library's closed forms only, in ``test_generalized``.
 """
 
 from fractions import Fraction
@@ -24,8 +30,8 @@ from fractions import Fraction
 import pytest
 
 from genform import Chart, Form, GenConfig, GeneralizedForm, gen_gform, gen_gvector
-from oracle_zeta import (Oracle, _extend, add, pair_element, vector_element, vector_parts,
-                         wedge)
+from oracle_zeta import (Oracle, _apply, _extend, add, pair_element, vector_element,
+                         vector_parts, wedge)
 
 NAMES = ("x", "y", "z", "w")
 KS = (Fraction(0), Fraction(-2, 3))
@@ -77,8 +83,8 @@ CARTAN_KS = (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(-5, 3))
 CARTAN_SEEDS = (0, 1, 2)
 
 
-def cartan_instances(n):
-    """(label, chart, oracle, V, W, p, a) for each k, seed and pair degree at dim n."""
+def vector_pairs(n):
+    """(label, cfg, chart, oracle, V, W) for each k and seed at dim n."""
     for k in CARTAN_KS:
         chart = Chart(NAMES[:n], k)
         oracle = Oracle(chart)
@@ -86,9 +92,14 @@ def cartan_instances(n):
             cfg = GenConfig(seed=seed, dimension=n, k=k)
             V = gen_gvector(cfg, ("V",), chart)
             W = gen_gvector(cfg, ("W",), chart)
-            for p in range(-1, n + 1):
-                yield (f"k={k} seed={seed} p={p}", chart, oracle, V, W, p,
-                       gen_gform(cfg, p, ("a",), chart))
+            yield f"k={k} seed={seed}", cfg, chart, oracle, V, W
+
+
+def cartan_instances(n):
+    """(label, chart, oracle, V, W, p, a) for each k, seed and pair degree at dim n."""
+    for label, cfg, chart, oracle, V, W in vector_pairs(n):
+        for p in range(-1, n + 1):
+            yield (f"{label} p={p}", chart, oracle, V, W, p, gen_gform(cfg, p, ("a",), chart))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -245,4 +256,39 @@ def test_commutator_of_uncorrected_lie_derivatives_is_along_the_bracket(n):
         count += 1
     assert failures == []
     assert count == 12 * (n + 2)
+    assert nonzero > count // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lie_bracket_minus_commutator_is_the_readme_closed_form(n):
+    r"""V.lie(W) - V.commutator(W) = (k v0 w1, L_{w1} v0), in three computations.
+
+    The oracle reads V.lie(W) off [L_V, I_W] dx_i = I_X dx_i and
+    V.commutator(W) off [L_V, L_W] = L_Y on x_i and dx_i (the derivations in
+    ``oracle_zeta``):
+      [L_V, I_W] dx_i = ([v1, w1] + k v0 w1)^i + L_{v1} w0 dx_i ζ, so
+            X = ([v1, w1] + k v0 w1, L_{v1} w0);
+      [L_V, L_W] x_i = [v1, w1]^i and [L_V, L_W] dx_i =
+            d [v1, w1]^i - k (L_{v1} w0 - L_{w1} v0) dx_i, so
+            Y = ([v1, w1], L_{v1} w0 - L_{w1} v0).
+    Part by part, the bracket [v1, w1] and L_{v1} w0 cancel in X - Y, which
+    leaves (k v0 w1, L_{w1} v0).  As {V,W} is antisymmetric and
+    k-independent, this difference holds all of the Lie bracket's k
+    dependence and its failure of antisymmetry; it vanishes when k v0 = 0
+    and w1(v0) = 0, as for constant v0 at k = 0.
+    """
+    failures, nonzero, count = [], 0, 0
+    for label, cfg, chart, oracle, V, W in vector_pairs(n):
+        v, w = vector_parts(V), vector_parts(W)
+        v0, w1 = v[1], w[0]
+        (x1, x0), (y1, y0) = oracle.vector_lie(v, w), oracle.commutator(v, w)
+        oracle_side = vector_element([xi - yi for xi, yi in zip(x1, y1)], x0 - y0)
+        closed = vector_element([chart.k * v0 * wi for wi in w1], _apply(w1, v0))
+        got = vector_element(*vector_parts(V.lie(W) - V.commutator(W)))
+        if not got == oracle_side == closed:
+            failures.append(label)
+        nonzero += bool(closed)
+        count += 1
+    assert failures == []
+    assert count == 12
     assert nonzero > count // 2
