@@ -56,18 +56,21 @@ value of the same type with ``fn`` applied to each coefficient, built by the
 type's trusted constructor, and ``_coefficients()`` lists them; the pair
 types of :mod:`genform.generalized` build both from their parts' by one
 rule, ``generalized._pair_type``, and
-``ScalarField`` is its own one coefficient.  The rules the value types share
-are written once here: ``-`` between two values (``_sub``), truth
-(``_nonzero``), unary ``-`` (``_neg``) and scalar ``*`` (``_rmul``), the
-last two through ``_map``.  One class decorator, ``_value_type``, declares
-``Form``, ``VectorField`` and both pair types: it makes the class a slotted
-frozen dataclass, seals it with ``scalars._sealed`` (no assignment, no hash,
-``repr`` is ``str``) and binds the four rules into the class's own
-``__dict__``, so no base class is needed and every operator stays an
-attribute of its own class.  Equality is the dataclass's generated
-``__eq__``: one class, and equal compared fields in order.  ``Form.degree``
-is not compared, so a form compares its chart and components; a
-``VectorField`` compares its chart and components.
+``ScalarField`` is its own one coefficient.  The six rules the value types
+share are written once here: the zero test ``is_zero`` (no nonzero
+coefficient, ``_is_zero``), ``+`` between two values (``_add``: one type,
+one chart, and a zero summand leaves the other; any other sum is the type's
+own partwise ``_plus``, where ``Form``'s checks the degree), ``-``
+(``_sub``), truth (``_nonzero``), unary ``-`` (``_neg``) and scalar ``*``
+(``_rmul``), the last two through ``_map``.  One class decorator,
+``_value_type``, declares ``Form``, ``VectorField`` and both pair types: it
+makes the class a slotted frozen dataclass, seals it with
+``scalars._sealed`` (no assignment, no hash, ``repr`` is ``str``) and binds
+the six rules into the class's own ``__dict__``, so no base class is needed
+and every operator stays an attribute of its own class.  Equality is the
+dataclass's generated ``__eq__``: one class, and equal compared fields in
+order.  ``Form.degree`` is not compared, so a form compares its chart and
+components; a ``VectorField`` compares its chart and components.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatchError, DegreeError
@@ -112,8 +115,25 @@ def _normalize_key(key: Key) -> tuple[Key | None, int]:
 # ``_value_type`` binds into each class's own ``__dict__``.
 
 
+def _is_zero(self) -> bool:
+    return not any(self._coefficients())
+
+
 def _nonzero(self) -> bool:
     return not self.is_zero
+
+
+def _add(self, other):
+    """``self + other`` for two values of one type on one chart: a zero summand
+    leaves the other, and any other sum is the type's partwise ``_plus``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    _require_same_chart(self.chart, other.chart)
+    if self.is_zero:
+        return other
+    if other.is_zero:
+        return self
+    return self._plus(other)
 
 
 def _sub(self, other):
@@ -139,9 +159,11 @@ def _rmul(self, factor):
 
 def _value_type(cls):
     """Make cls a slotted frozen dataclass, seal it (``scalars._sealed``) and
-    bind the shared rules as its truth, unary ``-``, ``-`` and scalar ``*``."""
+    bind the shared rules as its zero test, truth, ``+``, unary ``-``, ``-``
+    and scalar ``*``."""
     cls = _sealed(dataclass(frozen=True, repr=False, slots=True)(cls))
-    cls.__bool__, cls.__neg__, cls.__sub__, cls.__rmul__ = _nonzero, _neg, _sub, _rmul
+    cls.is_zero, cls.__bool__, cls.__add__ = property(_is_zero), _nonzero, _add
+    cls.__neg__, cls.__sub__, cls.__rmul__ = _neg, _sub, _rmul
     return cls
 
 
@@ -194,24 +216,13 @@ class Form:
     def from_scalar(cls, f: ScalarField) -> "Form":
         return _trusted_form(f.chart, 0, [((), f)])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
     def scalar_part(self) -> ScalarField:
         """The () component of a degree <= 0 form (zero if absent)."""
         if self.degree > 0:
             raise DegreeError(f"degree-{self.degree} form has no scalar part")
         return self.components.get(()) or self.chart.constant(0)  # a stored coefficient is nonzero
 
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        _require_same_chart(self.chart, other.chart)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
+    def _plus(self, other: "Form") -> "Form":
         if self.degree != other.degree:
             raise DegreeError(f"cannot add forms of degree {self.degree} and {other.degree}")
         acc = dict(self.components)
@@ -270,16 +281,8 @@ class VectorField:
     def zero(cls, chart: Chart) -> "VectorField":
         return _trusted_vector(chart, (chart.constant(0),) * chart.dim)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        # the components' sums check the chart
-        return _trusted_vector(self.chart,
-                               tuple(a + b for a, b in zip(self.components, other.components)))
+    def _plus(self, other: "VectorField") -> "VectorField":
+        return _trusted_vector(self.chart, tuple(map(add, self.components, other.components)))
 
     def _map(self, fn) -> "VectorField":
         return _trusted_vector(self.chart, tuple(map(fn, self.components)))

@@ -51,24 +51,24 @@ independent computations.
 Both pair types are declared by one class decorator, ``_pair_type``.  It
 applies ``_value_type`` of :mod:`genform.forms`, as ``Form`` and
 ``VectorField`` are declared, which makes each a sealed slotted frozen
-dataclass with the shared rules in its own ``__dict__``; its equality is the
-dataclass's comparison of its two parts.  It then reads the type's two
-fields and binds the four members a value made of two values has: ``chart``
-is the first part's, ``is_zero`` holds when both parts are zero,
-``_map(fn)`` is the pair of both parts' ``_map(fn)``, and
-``_coefficients()`` lists the first part's coefficients, then the second's.
-Every part has these four, ``ScalarField`` (the v0 of a pair vector)
-included, so one body of each serves both types, and unary ``-`` and scalar
-``*`` act slot by slot; scaling a pair vector by a pair zero-form is
-``scaled_by``.  What stays per type is what differs: the public checks,
-``degree``, ``zero`` and the embedding of an ordinary value, ``+`` (with
-the pair form's degree rule) and the formulas.  The signs (-1)^q,
-(-1)^{p+1} and (-1)^{p-1} above are ``forms._sign`` of the degree.
-``GeneralizedForm(...)`` and ``GeneralizedVector(...)`` check charts and
-degrees; every operation result, ``_map``'s included, goes through one
-private trusted constructor per type, ``_trusted_pair`` and
-``_trusted_gvector``, which check nothing.  Both are made by
-``forms._trusted_two_part`` from the type's two fields, as
+dataclass with the shared rules in its own ``__dict__``, ``+`` and
+``is_zero`` among them; its equality is the dataclass's comparison of its
+two parts.  It then reads the type's two fields and binds the three members
+a value made of two values has: ``chart`` is the first part's, ``_map(fn)``
+is the pair of both parts' ``_map(fn)``, and ``_coefficients()`` lists the
+first part's coefficients, then the second's, so ``is_zero`` holds when both
+parts are zero.  Every part has these three, ``ScalarField`` (the v0 of a
+pair vector) included, so one body of each serves both types, and unary
+``-`` and scalar ``*`` act slot by slot; scaling a pair vector by a pair
+zero-form is ``scaled_by``.  What stays per type is what differs: the
+public checks, ``degree``, ``zero`` and the embedding of an ordinary value,
+the partwise sum ``_plus`` (with the pair form's degree rule) and the
+formulas.  The signs (-1)^q, (-1)^{p+1} and (-1)^{p-1} above are
+``forms._sign`` of the degree.  ``GeneralizedForm(...)`` and
+``GeneralizedVector(...)`` check charts and degrees; every operation
+result, ``_map``'s included, goes through one private trusted constructor
+per type, ``_trusted_pair`` and ``_trusted_gvector``, which check nothing.
+Both are made by ``forms._trusted_two_part`` from the type's two fields, as
 ``forms._trusted_vector`` is; it is memoized, so ``_pair_type`` and this
 module's names hold the same constructor.
 """
@@ -100,16 +100,15 @@ from .forms import (
 
 
 def _pair_type(cls):
-    """Declare cls with ``_value_type`` and bind the members a value made of two
-    values takes from its two fields: ``chart`` is the first part's,
-    ``is_zero`` holds when both parts are zero, ``_map(fn)`` is the pair of
-    both parts' ``_map(fn)``, built by the type's trusted constructor, and
+    """Declare cls with ``_value_type``, which binds ``+`` and ``is_zero``, and
+    bind the members a value made of two values takes from its two fields:
+    ``chart`` is the first part's, ``_map(fn)`` is the pair of both parts'
+    ``_map(fn)``, built by the type's trusted constructor, and
     ``_coefficients()`` lists the first part's, then the second's."""
     cls = _value_type(cls)
     first, second = (attrgetter(f.name) for f in fields(cls))
     trusted = _trusted_two_part(cls)
     cls.chart = property(attrgetter(f"{fields(cls)[0].name}.chart"))
-    cls.is_zero = property(lambda self: first(self).is_zero and second(self).is_zero)
     cls._map = lambda self, fn: trusted(first(self)._map(fn), second(self)._map(fn))
     cls._coefficients = lambda self: first(self)._coefficients() + second(self)._coefficients()
     return cls
@@ -144,14 +143,7 @@ class GeneralizedForm:
         """Embed an ordinary form as the pair (a, 0)."""
         return _trusted_pair(a, Form.zero(a.chart, a.degree + 1))
 
-    def __add__(self, other):
-        if not isinstance(other, GeneralizedForm):
-            return NotImplemented
-        _require_same_chart(self.chart, other.chart)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
+    def _plus(self, other: "GeneralizedForm") -> "GeneralizedForm":
         if self.degree != other.degree:
             raise DegreeError(f"cannot add pairs of degree {self.degree} and {other.degree}")
         return _trusted_pair(self.ordinary + other.ordinary,
@@ -197,9 +189,7 @@ class GeneralizedVector:
         """Embed an ordinary vector field as the pair (v, 0)."""
         return _trusted_gvector(v, v.chart.constant(0))
 
-    def __add__(self, other):
-        if not isinstance(other, GeneralizedVector):
-            return NotImplemented
+    def _plus(self, other: "GeneralizedVector") -> "GeneralizedVector":
         return _trusted_gvector(self.v1 + other.v1, self.v0 + other.v0)
 
     def scaled_by(self, a0: GeneralizedForm) -> "GeneralizedVector":

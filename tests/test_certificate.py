@@ -43,7 +43,8 @@ multilinearity, that appears only at exponent D + 1 and above, or that
 scales a const slot other than 1 differently could pass.  In P8 and in
 the last two equations of P15 a slot appears in only some terms (R is
 affine in it), so the same shape must hold term by term.  The dims 2-3
-certificate is a separate, longer run.
+certificate is a separate, longer run of the same tuples:
+``python tools/certificate.py``.
 """
 
 from fractions import Fraction
@@ -102,11 +103,11 @@ def tuples(name, chart):
             yield dict(zip((slot for slot, _ in ident.slots), values))
 
 
-def certificate_failures(name):
-    """(count of tuples, sessions of the failing ones) for one identity at dim 1."""
+def certificate_failures(name, dim):
+    """(count of tuples, sessions of the failing ones) for one identity at ``dim``, 1 to 3."""
     count, failures = 0, []
     for k in KS:
-        chart = Chart(("x",), k)
+        chart = Chart(("x", "y", "z")[:dim], k)
         for env in tuples(name, chart):
             count += 1
             if any(lhs != rhs for lhs, rhs in IDENTITIES[name].check(chart, **env)):
@@ -122,6 +123,6 @@ def test_the_certificate_runs_4704_tuples():
 
 @pytest.mark.parametrize("name", sorted(IDENTITIES, key=lambda name: int(name[1:])))
 def test_every_identity_holds_on_every_basis_tuple_at_dim_1(name):
-    count, failures = certificate_failures(name)
+    count, failures = certificate_failures(name, 1)
     assert count > 0
     assert failures == [], "\n\n".join(failures[:3])

@@ -31,11 +31,12 @@ The benchmark's tracer (``bench/tracer.py``) wraps each method it patches by
 reading it from its class's own ``__dict__``, so every patched method must be
 defined or bound in that class, not inherited.  The value types therefore
 have no base but ``object``, and the rules they share are bound into each
-class by ``forms._value_type`` and ``scalars._sealed``.  The two pair types
-share one more rule, ``generalized._pair_type``: their ``chart``,
-``is_zero``, ``_map`` and ``_coefficients`` come from one body each, read
-off the type's two fields, and ``_map`` builds through the type's one
-trusted constructor.
+class by ``forms._value_type`` and ``scalars._sealed``: ``+`` and the zero
+test among them, so each type defines only its partwise sum ``_plus``.  The
+two pair types share one more rule, ``generalized._pair_type``: their
+``chart``, ``_map`` and ``_coefficients`` come from one body each, read off
+the type's two fields, and ``_map`` builds through the type's one trusted
+constructor.
 """
 
 import ast
@@ -223,6 +224,8 @@ def test_the_shared_rules_are_bound_into_each_value_type():
             assert own["__neg__"] is forms._neg
             assert own["__sub__"] is forms._sub
             assert own["__rmul__"] is forms._rmul
+            assert own["__add__"] is forms._add
+            assert own["is_zero"].fget is forms._is_zero
 
 
 def test_both_pair_types_share_one_body_per_protocol_member():

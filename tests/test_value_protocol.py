@@ -3,8 +3,8 @@
 ``Form``, ``VectorField``, ``GeneralizedForm`` and ``GeneralizedVector`` all
 subtract as ``a + (-b)`` within one type, scale by a rational or by a scalar
 field on their own chart, are true exactly when nonzero, and compare equal
-only on one chart.  Zero forms and zero pair forms are equal whatever their
-degree tags.
+only on one chart.  Zero is the identity of every sum, and zero forms and
+zero pair forms are equal whatever their degree tags.
 """
 
 from fractions import Fraction
@@ -135,6 +135,14 @@ def test_a_zero_summand_of_another_degree_leaves_the_other():
         a + GeneralizedForm(Form.zero(CHART, 0), one)
     with pytest.raises(DegreeError):
         one + two
+
+
+@pytest.mark.parametrize("kind", TYPES)
+def test_zero_is_the_identity_of_the_sum(kind):
+    value, z = make(kind, CHART), make(kind, CHART, True)
+    assert value + z == value and z + value == value and z + z == z
+    for zero in (False, True):
+        assert make(kind, CHART, zero).is_zero is zero
 
 
 def test_every_zero_prints_as_0():
