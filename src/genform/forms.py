@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from operator import add, neg
 from typing import Iterable, Mapping
@@ -102,8 +102,17 @@ def _sign(e: int) -> int:
     return -1 if e & 1 else 1
 
 
+# The most multi-indices ``_normalize_key`` remembers.  A ``check all`` pass
+# sorts 12 distinct ones at dim 2 and 224 at dim 4, but over 10,000 at dim 8
+# in five trials, and a session chart may have thousands of coordinates, so
+# the memo is bounded.
+_KEY_MEMO = 4096
+
+
+@lru_cache(maxsize=_KEY_MEMO)
 def _normalize_key(key: Key) -> tuple[Key | None, int]:
-    """Sort a multi-index, returning (sorted key, parity sign); None for repeats."""
+    """Sort a multi-index, returning (sorted key, parity sign); None for repeats.
+    A pure function of a small tuple, so the last ``_KEY_MEMO`` results are kept."""
     if len(set(key)) < len(key):
         return None, 0
     inversions = sum(a > b for a, b in combinations(key, 2))

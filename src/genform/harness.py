@@ -396,10 +396,12 @@ def _check_p14(chart, V, W, a):
 @_identity("P15", V="gvector", V2="gvector", W="gvector", c1="const", c2="const")
 def _check_p15(chart, V, V2, W, c1, c2):
     combo = c1 * V + c2 * V2
+    VW = V.commutator(W)
+    WV = W.commutator(V)
     return [
-        (V.commutator(W), -W.commutator(V)),
-        (combo.commutator(W), c1 * V.commutator(W) + c2 * V2.commutator(W)),
-        (W.commutator(combo), c1 * W.commutator(V) + c2 * W.commutator(V2)),
+        (VW, -WV),
+        (combo.commutator(W), c1 * VW + c2 * V2.commutator(W)),
+        (W.commutator(combo), c1 * WV + c2 * W.commutator(V2)),
     ]
 
 

@@ -6,7 +6,7 @@ A scalar field stores integer numerators (``_num``) over one denominator
 change in that one module.  These tests read each source file with ``ast``:
 no other module may read ``._num`` or ``._den`` (as an attribute, or by name
 in a string, as ``attrgetter`` would) or import the integer kernel's
-``_from_ints`` or the multiply-accumulate builder ``_mac_for``.
+``_from_ints`` or the kernel builder ``_kernel_for``.
 
 Likewise only ``genform.session`` knows the size limits of a value: the
 digits of a literal, the integer bounds of products and printing, and the
@@ -51,7 +51,7 @@ from genform import (Form, GeneralizedForm, GeneralizedVector, ScalarField, Vect
 
 SRC = Path(genform.__file__).parent
 LAYOUT = {"_num", "_den"}
-KERNEL = {"_from_ints", "_mac_for"}
+KERNEL = {"_from_ints", "_kernel_for"}
 LIMITS = {"MAX_LITERAL_DIGITS", "_PRODUCT_BITS", "_PRINTABLE_BITS", "_fault"}
 PARTS = {"components", "ordinary", "companion", "v1", "v0"}
 PART_READERS = {"forms.py", "generalized.py", "harness.py"}

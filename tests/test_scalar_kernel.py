@@ -12,10 +12,11 @@ lists.
 The fused sum-of-products kernel is checked the same way, and the form and
 vector operations built on it are checked against naive term-by-term
 versions kept here, which only use the public constructors and ``+ - *``.
-Its multiply-accumulate is compiled per dimension, so the kernel and scalar
-``*`` are also checked at every dimension the harness serves (1 to
+The kernel is compiled per dimension, so it and scalar ``*`` are also
+checked at every dimension the harness serves (1 to
 ``harness.MAX_DIMENSION``) and on one 12-coordinate chart, with plain
-products sign * a * b and derivative products sign * a * d_i b mixed.
+products sign * a * b and derivative products sign * a * d_i b mixed, and
+on targeted cases of each path of the compiled code.
 """
 
 import copy
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 import reference_scalars as ref
 from genform import Chart, ChartMismatchError, Form, ScalarField, VectorField
 from genform.harness import MAX_DIMENSION
-from genform.scalars import _from_monomials, _mac_for, _sum_products
+from genform.scalars import _from_monomials, _kernel_for, _sum_products
 
 NAMES = ("x", "y", "z", "w")
 
@@ -341,12 +342,12 @@ def test_sum_products_matches_naive_sum_and_reference(case):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_sum_products_matches_reference_at_every_dimension_it_is_compiled_for(dim, data):
-    """Each dimension has its own compiled multiply-accumulate.  Every key it
+    """Each dimension has its own compiled kernel.  Every key it
     writes is an exponent tuple of the chart's length, dim 1 included, where
     the key display needs its trailing comma to be a tuple."""
     got = assert_sum_products_matches(data.draw(product_sums(st.just(dim))))
     assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
-    assert _mac_for(dim) is _mac_for(dim)
+    assert _kernel_for(dim) is _kernel_for(dim)
 
 
 @pytest.mark.parametrize("dim", COMPILED_DIMS)
@@ -354,7 +355,7 @@ def test_sum_products_matches_reference_at_every_dimension_it_is_compiled_for(di
 @given(data=st.data())
 def test_derivative_products_match_reference_at_every_dimension_it_is_compiled_for(dim, data):
     """Plain and derivative products mixed in one sum run the same compiled
-    multiply-accumulate; every key it writes has the chart's length."""
+    kernel; every key it writes has the chart's length."""
     got = assert_sum_products_matches(data.draw(product_sums(st.just(dim), derivatives=True)))
     assert all(type(exps) is tuple and len(exps) == dim for exps in got.terms)
 
@@ -394,6 +395,59 @@ def test_sum_products_edge_cases():
                                 (-1, third_y, third_y)])
     assert_matches(got, {(1, 1): Fraction(1, 6), (2, 0): Fraction(3, 4),
                          (0, 2): Fraction(-1, 9)}, chart)
+
+
+# Term lists on the chart (x, y) for the targeted kernel cases below.
+X, Y, ONE = (1, 0), (0, 1), (0, 0)
+
+
+def test_derivative_product_whose_first_operand_is_constant_in_the_coordinate():
+    """The kernel lowers a's x exponent to -1 when a has no x; each term of b
+    it meets has an x, so no key of the sum keeps a -1."""
+    a = [(Y, Fraction(2, 3)), (ONE, Fraction(1, 5))]      # 2/3 y + 1/5
+    b = [((2, 1), 3), ((0, 3), Fraction(1, 2)), (X, -4)]  # 3 x^2 y + 1/2 y^3 - 4 x
+    got = assert_sum_products_matches((Chart(("x", "y")), [(1, a, b, 0)]))
+    assert got.terms == {(1, 2): 4, (0, 1): Fraction(-8, 3), (1, 1): Fraction(6, 5),
+                         (0, 0): Fraction(-4, 5)}
+    assert all(min(exps) >= 0 for exps in got.terms)
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+def test_derivative_product_of_two_operands_with_several_terms(coord):
+    a = [((2, 1), 1), (Y, Fraction(3, 4)), (ONE, Fraction(-1, 2))]          # x^2 y + 3/4 y - 1/2
+    b = [((3, 2), 1), ((1, 1), Fraction(-2, 7)), ((0, 3), 1), (ONE, 5)]   # x^3 y^2 - 2/7 xy + y^3 + 5
+    assert_sum_products_matches((Chart(("x", "y")), [(-3, a, b, coord)]))
+    assert_sum_products_matches((Chart(("x", "y")), [(2, a, b, coord), (1, b, a, coord), (1, a, b)]))
+
+
+def test_a_single_product_that_cancels_over_a_denominator_is_the_canonical_zero():
+    """A single product over denominator 2 * 3 = 6 that leaves only zeros,
+    through a zero sign or a b constant in the coordinate, is the zero
+    polynomial over denominator one; one that cancels in part keeps its
+    other terms over that denominator."""
+    chart = Chart(("x", "y"))
+    half_x, third_y = [(X, Fraction(1, 2))], [(Y, Fraction(1, 3))]
+    for products in [[(0, half_x, third_y)], [(1, half_x, third_y, 0)],
+                     [(0, half_x, [(X, Fraction(1, 3))], 0)]]:
+        got = assert_sum_products_matches((chart, products))
+        assert got._den == 1 and not got._num
+    # (x + y)/2 * (x - y)/3: the xy terms cancel inside the product
+    got = assert_sum_products_matches(
+        (chart, [(1, [(X, Fraction(1, 2)), (Y, Fraction(1, 2))],
+                  [(X, Fraction(1, 3)), (Y, Fraction(-1, 3))])]))
+    assert got.terms == {(2, 0): Fraction(1, 6), (0, 2): Fraction(-1, 6)}
+
+
+def test_a_sum_whose_content_divides_out():
+    """Over the lcm 12 of the products' denominators every numerator is 12,
+    so the sum is x y + x^2 + x over denominator one."""
+    chart = Chart(("x", "y"))
+    got = assert_sum_products_matches(
+        (chart, [(1, [(X, Fraction(3, 2))], [(Y, Fraction(2, 3))]),
+                 (2, [(X, Fraction(1, 4))], [(X, 2)]),
+                 (3, [(ONE, Fraction(1, 2))], [((2, 0), Fraction(1, 3))], 0)]))
+    assert got.terms == {(1, 1): 1, (2, 0): 1, (1, 0): 1}
+    assert got._den == 1
 
 
 def _naive_wedge(a, b):

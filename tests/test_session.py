@@ -23,6 +23,7 @@ from genform import (
     render_session,
     substitute,
 )
+import genform.forms as forms
 import genform.scalars as scalars
 import genform.session as session_module
 from genform.session import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_PRODUCT_TERMS
@@ -243,8 +244,8 @@ def test_round_trip_handwritten_sessions():
 
 
 def test_round_trip_on_a_300_coordinate_chart():
-    """A product on a wide chart runs the scalar kernel's multiply-accumulate
-    at that width: 300 exponents unpacked and 300 added per term product."""
+    """A product on a wide chart runs the scalar kernel compiled for that
+    width: 300 exponents unpacked and 300 added per term product."""
     names = [f"x{i}" for i in range(300)]
     session = parse_session(f"chart {', '.join(names)}\nf = (x1 + x2)*(x3 - x299)")
     x = session.chart.coordinates()
@@ -258,7 +259,7 @@ def test_derivatives_on_a_2000_coordinate_chart_compile_one_kernel():
     coordinates their operand depends on; the kernel is compiled once for
     the chart's dimension, never once per coordinate."""
     names = [f"c{i}" for i in range(2000)]
-    compiled = scalars._mac_for.cache_info().currsize
+    compiled = scalars._kernel_for.cache_info().currsize
     session = parse_session(f"chart {', '.join(names)}\n"
                             "g = d(c0*c1 + c2)\n"
                             "b = L({@c0 ; c1}, [(c0*c1 + c2)*dc0 ; 0])")
@@ -268,7 +269,27 @@ def test_derivatives_on_a_2000_coordinate_chart_compile_one_kernel():
     assert str(session.definitions["g"]) == "c1*dc0 + c0*dc1 + dc2"
     assert session.definitions["b"] == GeneralizedForm(x[1] * dx[0], Form.zero(session.chart, 2))
     assert str(session.definitions["b"]) == "[c1*dc0 ; 0]"
-    assert scalars._mac_for.cache_info().currsize <= compiled + 1
+    assert scalars._kernel_for.cache_info().currsize <= compiled + 1
+
+
+def test_the_multi_index_memo_stays_bounded_after_a_session_on_a_large_chart():
+    """``forms._normalize_key`` keeps at most ``forms._KEY_MEMO`` results: the
+    wedge of two 1-forms of 70 terms each sorts 70 * 70 = 4,900 distinct
+    index pairs, more than the memo holds, and gives the same form."""
+    names = [f"c{i}" for i in range(70)]
+    forms._normalize_key.cache_clear()
+    session = parse_session(f"chart {', '.join(names)}\n"
+                            f"a = {' + '.join(f'd{name}' for name in names)}\n"
+                            f"b = {' + '.join(f'{name}*d{name}' for name in names)}\n"
+                            "w = wedge(a, b)\n")
+    info = forms._normalize_key.cache_info()
+    assert info.misses >= 70 * 70 > forms._KEY_MEMO
+    assert info.currsize == info.maxsize == forms._KEY_MEMO
+    x = session.chart.coordinates()
+    w = session.definitions["w"]
+    assert len(w.components) == 70 * 69 // 2
+    assert w.components[(0, 1)] == x[1] - x[0]
+    assert w.components[(3, 69)] == x[69] - x[3]
 
 
 def test_round_trip_generated_sessions():
